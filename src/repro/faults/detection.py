@@ -14,10 +14,12 @@ inter-arrival time, so detection adapts to the observed probe rhythm
 rather than a hand-tuned miss count; a noisy (degraded) link widens
 the learned distribution and automatically becomes more tolerant.
 
-The public surface mirrors ``HeartbeatMonitor`` — ``failure_detected``,
+Both detectors share one probe loop,
+:class:`~repro.replication.heartbeat.Prober` — ``failure_detected``,
 ``start``/``stop``, ``report_attack``, ``detection_latency_bound`` —
 so :class:`~repro.replication.failover.FailoverController` accepts
-either without modification.
+either without modification; this module holds only the phi verdict
+and its sample window.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Optional
 from ..hardware.host import Host
 from ..hardware.link import LinkPair
 from ..hypervisor.base import Hypervisor
+from ..replication.heartbeat import Prober
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -46,8 +49,10 @@ def phi_from_normal(elapsed: float, mean: float, std: float) -> float:
     return -math.log10(p_later)
 
 
-class PhiAccrualDetector:
+class PhiAccrualDetector(Prober):
     """Secondary-side adaptive prober of the primary host/hypervisor."""
+
+    process_name = "phi-detector"
 
     def __init__(
         self,
@@ -61,63 +66,49 @@ class PhiAccrualDetector:
         probe_timeout: Optional[float] = None,
         min_std: Optional[float] = None,
     ):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive: {interval}")
         if threshold <= 0:
             raise ValueError(f"threshold must be positive: {threshold}")
         if window < 2:
             raise ValueError(f"window must hold >= 2 samples: {window}")
-        if probe_timeout is not None and probe_timeout <= 0:
-            raise ValueError(f"probe_timeout must be positive: {probe_timeout}")
-        self.sim = sim
-        self.primary_host = primary_host
-        self.primary_hypervisor = primary_hypervisor
-        self.link = link
-        self.interval = interval
+        super().__init__(
+            sim, primary_host, primary_hypervisor, link, interval,
+            probe_timeout, failure_name="phi-failure",
+        )
         self.threshold = threshold
-        self.probe_timeout = probe_timeout if probe_timeout is not None else interval
         #: Floor on the learned std — a perfectly regular simulated
         #: rhythm would otherwise collapse the distribution and make
         #: phi explode on the first microsecond of jitter.
         self.min_std = min_std if min_std is not None else interval * 0.1
         self._samples: deque = deque(maxlen=window)
-        #: Succeeds with the failure reason when failure is declared.
-        self.failure_detected = sim.event(name="phi-failure")
-        self.probes_sent = 0
-        self.last_success_at: Optional[float] = None
-        self.process = None
 
-    # -- lifecycle (HeartbeatMonitor-compatible) ----------------------------
     def start(self):
-        """Begin probing; returns the detector process."""
-        if self.process is not None:
-            raise RuntimeError("phi-accrual detector already started")
-        self.process = self.sim.process(self._probe_loop(), name="phi-detector")
-        return self.process
-
-    def stop(self) -> None:
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("detector stopped")
-
-    def report_attack(self, description: str) -> None:
-        """External detector path: declare the primary failed now."""
-        if not self.failure_detected.triggered:
-            self.failure_detected.succeed(f"attack detected: {description}")
+        """Begin probing; silence is measured from this instant."""
+        process = super().start()
+        self._last_success_at = self.sim.now
+        return process
 
     # -- the distribution ---------------------------------------------------
     @property
+    def samples(self) -> deque:
+        """The inter-arrival window, elided probes included."""
+        self._settle()
+        return self._samples
+
+    @property
     def mean(self) -> float:
-        if not self._samples:
+        samples = self.samples
+        if not samples:
             # No history yet: assume the configured rhythm.
             return self.interval + self.link.round_trip_latency()
-        return sum(self._samples) / len(self._samples)
+        return sum(samples) / len(samples)
 
     @property
     def std(self) -> float:
-        if len(self._samples) < 2:
+        samples = self.samples
+        if len(samples) < 2:
             return self.min_std
         mean = self.mean
-        variance = sum((s - mean) ** 2 for s in self._samples) / len(self._samples)
+        variance = sum((s - mean) ** 2 for s in samples) / len(samples)
         return max(math.sqrt(variance), self.min_std)
 
     def phi(self, elapsed: float) -> float:
@@ -148,65 +139,15 @@ class PhiAccrualDetector:
                 low = mid
         return high
 
-    # -- probing ------------------------------------------------------------
-    def _probe_loop(self):
-        from ..simkernel.errors import Interrupt
+    # -- the verdict ----------------------------------------------------------
+    def _probe_attrs(self, now: float) -> dict:
+        return {"phi": round(self.phi(now - self._last_success_at), 3)}
 
-        self.last_success_at = self.sim.now
-        try:
-            while not self.failure_detected.triggered:
-                yield self.sim.timeout(self.interval)
-                ack = self.link.ack(64)
-                deadline = self.sim.timeout(self.probe_timeout)
-                yield self.sim.any_of([ack, deadline])
-                answered = ack.triggered
-                self.probes_sent += 1
-                alive = (
-                    answered
-                    and self.primary_host.is_up
-                    and self.primary_hypervisor.is_responsive
-                )
-                now = self.sim.now
-                elapsed = now - self.last_success_at
-                suspicion = self.phi(elapsed)
-                bus = self.sim.telemetry
-                if bus.enabled:
-                    bus.counter(
-                        "heartbeat.probe",
-                        1.0,
-                        host=self.primary_host.name,
-                        link=self.link.name,
-                        alive=alive,
-                        phi=round(suspicion, 3),
-                    )
-                if alive:
-                    self._samples.append(elapsed)
-                    self.last_success_at = now
-                    continue
-                if suspicion >= self.threshold:
-                    if not answered:
-                        reason = (
-                            "heartbeat probes unanswered — primary "
-                            "unreachable (link down or partitioned)"
-                        )
-                    else:
-                        reason = (
-                            self.primary_hypervisor.failure_reason
-                            or self.primary_host.failure_reason
-                            or "primary unresponsive"
-                        )
-                    reason = f"{reason} (phi={suspicion:.1f})"
-                    if bus.enabled:
-                        bus.counter(
-                            "heartbeat.failure_declared",
-                            1.0,
-                            host=self.primary_host.name,
-                            link=self.link.name,
-                            reason=reason,
-                            phi=round(suspicion, 3),
-                        )
-                    if not self.failure_detected.triggered:
-                        self.failure_detected.succeed(reason)
-                    return
-        except Interrupt:
-            return
+    def _alive(self, now: float) -> None:
+        self._samples.append(now - self._last_success_at)
+
+    def _miss(self, now: float):
+        suspicion = self.phi(now - self._last_success_at)
+        if suspicion < self.threshold:
+            return None
+        return f" (phi={suspicion:.1f})", {"phi": round(suspicion, 3)}

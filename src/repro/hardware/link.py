@@ -70,6 +70,9 @@ class Link:
         self._corrupt_rate = 0.0
         self._latency_jitter_s = 0.0
         self._rng = None  # lazily bound: an unimpaired link never draws
+        #: Callables ``callback(link)`` run after every fault-state
+        #: change (see :meth:`watch`).
+        self._watchers: List = []
         # -- statistics --
         self.bytes_delivered = 0.0
         self.transfers_completed = 0
@@ -94,6 +97,21 @@ class Link:
     def is_down(self) -> bool:
         return self._down
 
+    def watch(self, callback) -> None:
+        """Call ``callback(link)`` after every fault-state change.
+
+        :meth:`degrade`, :meth:`partition`, :meth:`restore`,
+        :meth:`impair` and an effective :meth:`clear_impairment` all
+        notify, once the new state is in place.  A watcher that caches
+        what the wire does to a message (latency, loss, jitter) learns
+        here that its cache went stale.
+        """
+        self._watchers.append(callback)
+
+    def _notify_watchers(self) -> None:
+        for callback in list(self._watchers):
+            callback(self)
+
     # -- fault hooks -------------------------------------------------------
     def degrade(
         self, bandwidth_factor: float = 1.0, extra_latency_s: float = 0.0
@@ -116,6 +134,7 @@ class Link:
             bandwidth_factor=bandwidth_factor, extra_latency_s=extra_latency_s,
         )
         self._reschedule()
+        self._notify_watchers()
 
     def partition(self) -> None:
         """Cut the link entirely: nothing in flight makes progress and
@@ -126,6 +145,7 @@ class Link:
         self._down = True
         self.sim.telemetry.counter("link.partitioned", 1.0, link=self.name)
         self._reschedule()
+        self._notify_watchers()
 
     def restore(self) -> None:
         """Heal any degradation, partition or impairment; queued
@@ -139,6 +159,7 @@ class Link:
         self._latency_jitter_s = 0.0
         self.sim.telemetry.counter("link.restored", 1.0, link=self.name)
         self._reschedule()
+        self._notify_watchers()
 
     # -- impairment (lossy-link semantics) -----------------------------------
     def impair(
@@ -178,6 +199,7 @@ class Link:
             loss_rate=self._loss_rate, corrupt_rate=self._corrupt_rate,
             latency_jitter_s=self._latency_jitter_s,
         )
+        self._notify_watchers()
 
     def clear_impairment(self) -> None:
         """Heal packet loss/corruption/jitter (degradation untouched)."""
@@ -189,6 +211,7 @@ class Link:
         self.sim.telemetry.counter(
             "link.impairment_cleared", 1.0, link=self.name
         )
+        self._notify_watchers()
 
     @property
     def is_impaired(self) -> bool:
@@ -302,7 +325,7 @@ class Link:
                         "link.message_lost", 1.0, link=self.name, nbytes=nbytes
                     )
                 return event
-        delay = self.latency + (nbytes / self.capacity)
+        delay = self.message_delay(nbytes)
         if self._latency_jitter_s > 0.0:
             delay += self._impairment_rng().uniform(
                 0.0, self._latency_jitter_s
@@ -310,6 +333,12 @@ class Link:
         event.succeed(delay, delay=delay)
         self.sim.telemetry.counter("link.message", 1.0, link=self.name, nbytes=nbytes)
         return event
+
+    def message_delay(self, nbytes: float) -> float:
+        """Latency plus serialisation of a :meth:`message`, jitter
+        excluded.  The heartbeat fast-forward replays acks with it, so
+        its floats are the ones :meth:`message` schedules."""
+        return self.latency + (nbytes / self.capacity)
 
     def utilisation(self, since: float = 0.0) -> float:
         """Average fraction of capacity in use over ``[since, now]``."""

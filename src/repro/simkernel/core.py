@@ -65,6 +65,11 @@ class Simulation:
         self.random = RandomRegistry(seed)
         #: Number of events processed so far (diagnostic).
         self.events_processed = 0
+        #: Latest instant every event of which has been processed: set
+        #: by :meth:`run` when it returns normally.  Code running between
+        #: two ``run`` calls at this instant comes after all of them;
+        #: code inside ``run`` may still precede some.
+        self.drained_until = float("-inf")
         #: The simulation-wide telemetry bus.  Zero-overhead until a
         #: subscriber attaches; see :mod:`repro.telemetry`.
         self.telemetry = TelemetryBus(self)
@@ -83,6 +88,32 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at simulated time ``when`` exactly.
+
+        ``timeout(when - now)`` is not a substitute: ``now + (when -
+        now)`` does not always round back to ``when``, and an event that
+        must land on a precomputed instant (a replayed probe grid, say)
+        cannot be a rounding error away from it.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout_at({when}) lies in the past (now={self._now})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        event._scheduled = True
+        # The bucket insertion of :meth:`_schedule`, keyed on ``when``
+        # itself (inlined there: it is the kernel's hottest call).
+        key = (when, PRIORITY_NORMAL)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [0, [event]]
+            heapq.heappush(self._queue, key)
+        else:
+            bucket[1].append(event)
+        self._pending += 1
+        return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a simulation process.
@@ -252,6 +283,7 @@ class Simulation:
             return stop.value
         if until is not None:
             self._now = max(self._now, until)
+        self.drained_until = self._now
         return None
 
     def run_until_triggered(self, event: Event, limit: float = float("inf")) -> Any:

@@ -120,3 +120,37 @@ class TestLinkPair:
     def test_round_trip_latency(self, sim):
         pair = LinkPair(sim, omnipath_hfi100())
         assert pair.round_trip_latency() == pytest.approx(2 * 10e-6)
+
+
+class TestWatch:
+    def test_every_fault_change_notifies_after_the_change(self, sim):
+        link = Link(sim, omnipath_hfi100())
+        seen = []
+        link.watch(lambda changed: seen.append(
+            (changed is link, link.is_down, link.loss_rate, link.latency)))
+        base = link.latency
+        link.degrade(0.5, extra_latency_s=1e-3)
+        link.partition()
+        link.restore()
+        link.impair(loss_rate=0.2)
+        link.clear_impairment()
+        assert seen == [
+            (True, False, 0.0, base + 1e-3),
+            (True, True, 0.0, base + 1e-3),
+            (True, False, 0.0, base),
+            (True, False, 0.2, base),
+            (True, False, 0.0, base),
+        ]
+
+    def test_clearing_a_clean_wire_is_silent(self, sim):
+        link = Link(sim, omnipath_hfi100())
+        seen = []
+        link.watch(seen.append)
+        link.clear_impairment()
+        assert seen == []
+
+    def test_message_delay_is_what_message_schedules(self, sim):
+        link = Link(sim, omnipath_hfi100())
+        link.degrade(0.3, extra_latency_s=7e-6)
+        event = link.message(64)
+        assert event.value == link.message_delay(64)

@@ -285,3 +285,44 @@ class TestDeterminism:
         sim2 = Simulation(seed=9)
         value_clean = sim2.random.stream("signal").random()
         assert value_after_noise == value_clean
+
+
+class TestTimeoutAt:
+    #: ``now + (when - now)`` rounds away from ``when`` for this pair.
+    NOW, WHEN = 0.00016189957807444255, 1.5018256178447797
+
+    def test_fires_exactly_at_when(self, sim):
+        sim.run(until=self.NOW)
+        assert self.NOW + (self.WHEN - self.NOW) != self.WHEN
+        fired = []
+        sim.timeout_at(self.WHEN, value="v").callbacks.append(
+            lambda event: fired.append((sim.now, event.value))
+        )
+        sim.run()
+        assert fired == [(self.WHEN, "v")]
+
+    def test_orders_fifo_with_relative_timeouts(self, sim):
+        order = []
+        sim.timeout(1.0).callbacks.append(lambda _e: order.append("relative"))
+        sim.timeout_at(1.0).callbacks.append(lambda _e: order.append("absolute"))
+        sim.run()
+        assert order == ["relative", "absolute"]
+
+    def test_rejects_the_past(self, sim):
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.timeout_at(1.0)
+
+
+class TestDrainedUntil:
+    def test_tracks_completed_runs_only(self, sim):
+        assert sim.drained_until == float("-inf")
+        sim.timeout(1.0)
+        sim.run(until=0.5)
+        assert sim.drained_until == 0.5
+        target = sim.timeout(3.0)
+        sim.run_until_triggered(target)
+        # Stopping on an event leaves the rest of its instant pending.
+        assert sim.drained_until == 0.5
+        sim.run()
+        assert sim.drained_until == sim.now == 3.5

@@ -63,3 +63,64 @@ class TestFromDicts:
         rebuilt = Recorder.from_dicts(r.as_dict() for r in original.records)
         [outer] = rebuilt.spans("outer")
         assert [s.name for s in rebuilt.children_of(outer)] == ["inner"]
+
+
+class TestBucketedQueries:
+    """Name-bucketed queries return exactly what a linear scan does."""
+
+    @staticmethod
+    def scan(recorder, kind, name, **filters):
+        return [
+            r for r in recorder.records
+            if isinstance(r, kind)
+            and (name is None or r.name == name)
+            and all(r.attrs.get(k) == v for k, v in filters.items())
+        ]
+
+    def mixed(self):
+        sim = Simulation()
+        recorder = Recorder.attach(sim.telemetry)
+        bus = sim.telemetry
+        for index in range(6):
+            bus.counter("bytes", float(index), link="ab"[index % 2])
+            bus.gauge("depth", float(index), queue="rx" if index < 3 else "tx")
+            # One name on two record kinds, as "hypervisor.reboot" is.
+            bus.counter("reboot", 1.0, host=f"h{index % 3}")
+            bus.span("reboot", host=f"h{index % 3}").end(ok=index % 2 == 0)
+        return recorder
+
+    def check_all(self, recorder):
+        from repro.telemetry.records import CounterRecord, GaugeRecord, SpanRecord
+
+        queries = [
+            (recorder.counters, CounterRecord),
+            (recorder.gauges, GaugeRecord),
+            (recorder.spans, SpanRecord),
+        ]
+        filters = [{}, {"link": "a"}, {"queue": "tx"}, {"host": "h1"},
+                   {"host": "h1", "ok": False}, {"host": "missing"}]
+        for query, kind in queries:
+            for name in (None, "bytes", "depth", "reboot", "missing"):
+                for attrs in filters:
+                    assert query(name, **attrs) == self.scan(
+                        recorder, kind, name, **attrs
+                    ), (kind, name, attrs)
+        assert recorder.names() == sorted({r.name for r in recorder.records})
+
+    def test_queries_match_a_linear_scan(self):
+        self.check_all(self.mixed())
+
+    def test_queries_match_after_clear_and_refill(self):
+        recorder = self.mixed()
+        recorder.clear()
+        self.check_all(recorder)
+        assert recorder.counters("bytes") == [] and recorder.names() == []
+        recorder(populated().records[0])
+        self.check_all(recorder)
+        assert len(recorder.counters("bytes")) == 1
+
+    def test_from_dicts_buckets_too(self):
+        original = self.mixed()
+        rebuilt = Recorder.from_dicts(r.as_dict() for r in original.records)
+        self.check_all(rebuilt)
+        assert rebuilt.spans("reboot", ok=True) == original.spans("reboot", ok=True)
