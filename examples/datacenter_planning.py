@@ -17,10 +17,10 @@ from repro.analysis import (
     compare_availability,
     render_table,
 )
-from repro.cluster import PlacementRequest, ReplicationPlanner
+from repro.cluster import PlacementRequest, ProtectionStack, ReplicationPlanner
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, omnipath_hfi100
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import FailoverController, HeartbeatMonitor, here_engine
+from repro.replication import here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -76,16 +76,15 @@ def main() -> None:
     )
     engine.start(target)
     sim.run_until_triggered(engine.ready)
-    monitor = HeartbeatMonitor(sim, xen.host, xen, link)
-    monitor.start()
-    FailoverController(sim, engine, monitor).arm()
+    stack = ProtectionStack(sim, engine)
+    stack.start()
     sim.run(until=sim.now + 60.0)
     stats = engine.stats
 
     timings = ReplicationTimings(
         checkpoint_period=stats.mean_period(),
         checkpoint_pause=stats.mean_pause_duration(),
-        detection_latency=monitor.detection_latency_bound,
+        detection_latency=stack.monitor.detection_latency_bound,
         activation_time=secondary.host.cost_model.replica_activation_time,
     )
     comparison = compare_availability(

@@ -21,6 +21,7 @@ from .planner import (
     PlanResult,
     ReplicationPlanner,
 )
+from .protection import ProtectionStack
 from .scenarios import ScenarioResult, ScenarioRunner
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "PlanResult",
     "ProtectedDeployment",
     "ProtectedFleet",
+    "ProtectionStack",
     "ReplicationPlanner",
     "ScenarioResult",
     "ScenarioRunner",

@@ -2,7 +2,8 @@
 
 Every experiment in the paper uses the same shape: two hosts on an
 Omni-Path interconnect, a hypervisor on each, one protected VM with a
-workload, a replication engine, a heartbeat, and a failover controller.
+workload, a replication engine, and the
+:class:`~repro.cluster.protection.ProtectionStack` watching it.
 :class:`ProtectedDeployment` assembles all of it from a
 :class:`DeploymentSpec` so benchmarks and examples stay short and
 consistent.
@@ -23,16 +24,16 @@ from ..hypervisor.base import Hypervisor
 from ..net.egress import EgressBuffer
 from ..net.service import ServiceConnection
 from ..integrity.config import IntegrityConfig
-from ..replication.colo import ColoEngine, colo_engine
+from ..recovery import MicrorebootConfig, RecoveryPolicy
+from ..replication.colo import colo_engine
 from ..replication.engine import ReplicationEngine
-from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
 from ..replication.here import here_engine
 from ..replication.remus import remus_engine
 from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
 from ..vm.machine import VirtualMachine
 from .planner import Placement, PlanResult
+from .protection import ProtectionStack
 
 
 @dataclass
@@ -60,9 +61,6 @@ class DeploymentSpec:
     checkpoint_threads: int = 4
     heartbeat_interval: float = 0.03
     heartbeat_misses: int = 3
-    #: Tolerated consecutive misses while the transport reports "link
-    #: degraded but alive" (lossy links; needs a reliable transport).
-    degraded_heartbeat_misses: Optional[int] = None
     seed: int = 0
     cost_model: Optional[TransferCostModel] = None
     #: Hardened transport config; None keeps the classic protocol
@@ -89,19 +87,20 @@ class DeploymentSpec:
                 "checkpoint integrity is a HERE feature; "
                 f"engine {self.engine!r} does not support it"
             )
-        if (
-            self.degraded_heartbeat_misses is not None
-            and self.degraded_heartbeat_misses < self.heartbeat_misses
-        ):
-            raise ValueError(
-                "degraded_heartbeat_misses must be >= heartbeat_misses"
-            )
 
 
 class ProtectedDeployment:
-    """The assembled testbed, engines and protected VM."""
+    """The assembled testbed, engines and protected VM.
 
-    def __init__(self, spec: DeploymentSpec):
+    ``policy`` and ``microreboot`` add a recovery gate to its stack.
+    """
+
+    def __init__(
+        self,
+        spec: DeploymentSpec,
+        policy=RecoveryPolicy.FAILOVER,
+        microreboot: Optional[MicrorebootConfig] = None,
+    ):
         self.spec = spec
         self.sim = Simulation(seed=spec.seed)
         host_kwargs = {}
@@ -154,42 +153,25 @@ class ProtectedDeployment:
                 transport=spec.transport,
                 integrity=spec.integrity,
             )
-        self.monitor = HeartbeatMonitor(
+        # Built before replication starts: no degradation ladder.
+        self.stack = ProtectionStack(
             self.sim,
-            self.testbed.primary,
-            self.primary,
-            self.testbed.interconnect,
+            self.engine,
             interval=spec.heartbeat_interval,
             miss_threshold=spec.heartbeat_misses,
-            degraded_miss_threshold=spec.degraded_heartbeat_misses,
-            loss_signal=self._transport_loss_signal,
+            policy=policy,
+            microreboot=microreboot,
+            replica_service_link=self.testbed.service_secondary,
         )
-        # The ASR failover protocol promotes the replica from the last
-        # *acked checkpoint* via the ReplicaSession; lock-stepping has
-        # neither — its replica is already executing — so a COLO
-        # deployment runs without the ASR failover controller.
-        self.failover: Optional[FailoverController] = None
-        if not isinstance(self.engine, ColoEngine):
-            self.failover = FailoverController(
-                self.sim,
-                self.engine,
-                self.monitor,
-                replica_service_link=self.testbed.service_secondary,
-            )
+        self.monitor = self.stack.monitor
+        self.failover = self.stack.failover
         self.service: Optional[ServiceConnection] = None
-
-    def _transport_loss_signal(self) -> bool:
-        # Bound late: the engine's transport only exists after start().
-        transport = getattr(self.engine, "transport", None)
-        return transport is not None and transport.link_appears_lossy()
 
     # -- orchestration -------------------------------------------------------
     def start_protection(self, wait_ready: bool = True) -> None:
         """Start replication (and optionally run seeding to completion)."""
         self.engine.start(self.spec.vm_name)
-        self.monitor.start()
-        if self.failover is not None:
-            self.failover.arm()
+        self.stack.start()
         if wait_ready:
             self.sim.run_until_triggered(self.engine.ready)
 

@@ -3,8 +3,8 @@
 One campaign executes N independent trials.  Each trial stands up a
 heterogeneous fleet (Xen primaries, KVM secondaries, one spare Xen
 host), protects every VM through the planner +
-:class:`~repro.cluster.deployment.ProtectedFleet`, arms a detector, a
-failover controller and a re-protection controller per engine, draws a
+:class:`~repro.cluster.deployment.ProtectedFleet`, arms one
+:class:`~repro.cluster.protection.ProtectionStack` per engine, draws a
 randomized :class:`~repro.faults.spec.FaultSchedule` from the trial's
 seeded random stream, and lets detection -> failover -> re-protection
 play out.  Metrics are aggregated *from the telemetry bus* (a
@@ -27,25 +27,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.availability import observed_availability_nines
 from ..cluster.deployment import ProtectedFleet
 from ..cluster.planner import PlacementRequest, ReplicationPlanner
+from ..cluster.protection import ProtectionStack
 from ..hardware.host import Host
 from ..hardware.memory import MemorySpec
 from ..hardware.units import GIB
 from ..hypervisor import KvmHypervisor, XenHypervisor
-from ..recovery import (
-    MicrorebootConfig,
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
-from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
-from ..replication.transport import DegradationController, TransportConfig
+from ..integrity import CorruptionTally
+from ..recovery import MicrorebootConfig, RecoveryPolicy
+from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
-from .detection import PhiAccrualDetector
 from .injector import FaultInjector
-from .reprotect import ReprotectionController
 from .spec import CORRUPTION_KINDS, FaultKind, FaultSchedule
 
 
@@ -82,7 +75,6 @@ class CampaignConfig:
     detector: str = "heartbeat"
     heartbeat_interval: float = 0.03
     miss_threshold: int = 3
-    phi_threshold: float = 8.0
     t_max: float = 2.0
     target_degradation: float = 0.0
     #: Run every engine over the hardened transport (two-phase commit,
@@ -774,73 +766,24 @@ class ChaosCampaign:
         )
         fleet.start_protection(wait_ready=True)
 
-        policy = RecoveryPolicy.parse(config.recovery_policy)
-        microreboots: Dict[str, MicrorebootEngine] = {}
-        gates: List[RecoveryController] = []
-        controllers = {}
-        degradation_controllers = []
-        for vm_name, engine in fleet.engines.items():
-            if config.detector == "phi":
-                monitor = PhiAccrualDetector(
-                    sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
-                    interval=config.heartbeat_interval,
-                    threshold=config.phi_threshold,
-                )
-            else:
-                monitor = HeartbeatMonitor(
-                    sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
-                    interval=config.heartbeat_interval,
-                    miss_threshold=config.miss_threshold,
-                    degraded_miss_threshold=config.degraded_miss_threshold,
-                    loss_signal=(
-                        engine.transport.link_appears_lossy
-                        if engine.transport is not None
-                        else None
-                    ),
-                )
-            monitor.start()
-            if engine.transport is not None:
-                degradation = DegradationController(sim, engine)
-                degradation.start()
-                degradation_controllers.append(degradation)
-            # Under a recovery policy the failover controller watches
-            # the gate instead of the raw detector: suspicion is
-            # withheld while a microreboot is in flight and only
-            # propagated per policy.  One microreboot engine per
-            # primary host — co-located VMs share the attempt.
-            detector_surface = monitor
-            if policy is not RecoveryPolicy.FAILOVER:
-                host_name = engine.primary.host.name
-                microreboot = microreboots.get(host_name)
-                if microreboot is None:
-                    microreboot = MicrorebootEngine(
-                        sim, engine.primary,
-                        config=config.microreboot_config(),
-                    )
-                    microreboots[host_name] = microreboot
-                gate = RecoveryController(
-                    sim, engine, monitor, microreboot, policy=policy
-                )
-                gate.start()
-                gates.append(gate)
-                detector_surface = gate
-            failover = FailoverController(sim, engine, detector_surface)
-            failover.arm()
-            reprotection = ReprotectionController(
+        stacks = {
+            vm_name: ProtectionStack(
                 sim,
-                failover,
+                engine,
+                interval=config.heartbeat_interval,
+                miss_threshold=config.miss_threshold,
+                detector=config.detector,
+                degraded_miss_threshold=config.degraded_miss_threshold,
+                policy=config.recovery_policy,
+                microreboot=config.microreboot_config(),
                 spares=fleet_hypervisors,
                 target_degradation=config.target_degradation,
                 t_max=config.t_max,
             )
-            reprotection.arm()
-            controllers[vm_name] = (monitor, failover, reprotection)
+            for vm_name, engine in fleet.engines.items()
+        }
+        for stack in stacks.values():
+            stack.start()
 
         injector = FaultInjector(
             sim,
@@ -873,7 +816,7 @@ class ChaosCampaign:
             + config.recovery_time
         )
         trial = self._harvest(
-            index, trial_seed, sim, recorder, fleet, controllers, trial_start
+            index, trial_seed, sim, recorder, stacks, trial_start
         )
         # The serving overlay replays a seeded arrival population
         # against the telemetry above.  It runs before close-out (the
@@ -881,19 +824,11 @@ class ChaosCampaign:
         # name) and draws only from its own derived-seed numpy streams
         # — nothing below perturbs the simulation.
         if config.serving_users:
-            self._serve_overlay(
-                trial, sim, recorder, fleet, controllers, trial_start
-            )
+            self._serve_overlay(trial, sim, recorder, stacks, trial_start)
         # Close the trial out cleanly so session spans end inside this
         # trial's bus (and a --trace file), not at garbage collection.
-        for degradation in degradation_controllers:
-            degradation.stop()
-        for gate in gates:
-            gate.stop()
-        for _monitor, _failover, reprotection in controllers.values():
-            _monitor.stop()
-            if reprotection.engine is not None:
-                reprotection.engine.halt("trial over")
+        for stack in stacks.values():
+            stack.stop("trial over")
         fleet.halt("trial over")
         sim.run(until=sim.now + 1.0)
         # Throughput bookkeeping, measured after close-out so the perf
@@ -912,40 +847,28 @@ class ChaosCampaign:
         sim.telemetry.counter("sim.checkpoints", float(trial.checkpoints))
         return trial
 
-    def _serve_overlay(
-        self, trial, sim, recorder, fleet, controllers, trial_start
-    ) -> None:
+    def _serve_overlay(self, trial, sim, recorder, stacks, trial_start) -> None:
         """Measure user-visible latency for this trial, post hoc."""
         from ..serving import overlay_report
 
         serving = self.config.serving_config()
         horizon = sim.now
-        fault_times = [
-            record.time for record in recorder.counters("fault.injected")
-        ]
         engine_names = {}
         extra: Dict[str, list] = {}
-        for vm_name, engine in fleet.engines.items():
-            engine_names[vm_name] = (engine.name,)
-            _monitor, failover, _reprotection = controllers[vm_name]
-            if failover.report is not None:
+        for vm_name, stack in stacks.items():
+            engine_names[vm_name] = (stack.engine.name,)
+            if stack.failover.report is not None:
                 continue  # its failover span prices the darkness
-            primary_alive = (
-                engine.vm is not None
-                and not engine.vm.is_destroyed
-                and engine.primary.host.is_up
-                and engine.primary.is_responsive
-            )
-            if primary_alive:
+            if stack.primary_alive:
                 continue
             # Dark with no failover span at all (e.g. an undetected
             # partition-then-crash): dead from the last fault onward.
-            earlier = [t for t in fault_times if t <= horizon]
+            earlier = [t for t in trial.fault_times if t <= horizon]
             dark_from = max(earlier) if earlier else trial_start
             extra[vm_name] = [(dark_from, horizon)]
         report = overlay_report(
             recorder,
-            vms=list(fleet.engines),
+            vms=list(stacks),
             start=trial_start,
             horizon=horizon,
             config=serving,
@@ -976,11 +899,11 @@ class ChaosCampaign:
             IdleWorkload(sim, vm).start()
 
     def _harvest(
-        self, index, trial_seed, sim, recorder, fleet, controllers, trial_start
+        self, index, trial_seed, sim, recorder, stacks, trial_start
     ) -> TrialResult:
         """Build the TrialResult from the telemetry the bus recorded."""
         trial = TrialResult(index=index, seed=trial_seed)
-        trial.observed_seconds = (sim.now - trial_start) * len(fleet.engines)
+        trial.observed_seconds = (sim.now - trial_start) * len(stacks)
 
         fault_counters = recorder.counters("fault.injected")
         trial.fault_times = [record.time for record in fault_counters]
@@ -1043,21 +966,14 @@ class ChaosCampaign:
         # Downtime accounting: a failed-over VM was dark from the fault
         # until replica activation; a dropped VM stays dark to the end.
         trial_end = sim.now
-        for vm_name, (monitor, failover, _reprotection) in controllers.items():
-            engine = fleet.engines[vm_name]
-            report = failover.report
+        for vm_name, stack in stacks.items():
+            report = stack.failover.report
             if report is not None and not report.failed:
                 trial.downtime_seconds += trial.mttr.get(
                     vm_name, report.resumption_time
                 )
                 continue
-            primary_alive = (
-                engine.vm is not None
-                and not engine.vm.is_destroyed
-                and engine.primary.host.is_up
-                and engine.primary.is_responsive
-            )
-            if primary_alive:
+            if stack.primary_alive:
                 continue  # fault never touched this VM's primary path
             trial.dropped_vms += 1
             failed_at = fault_before(trial_end)
@@ -1072,32 +988,19 @@ class ChaosCampaign:
             sum(r.value for r in recorder.counters("transport.fencing_rejected"))
         )
         # Integrity accounting comes from the monitors' event ledgers
-        # (ground truth for injected-vs-caught) plus the bus (audit and
-        # refusal counters).  Monitors exist only when the overlay is
-        # armed, so a disabled campaign skips this wholesale.
-        for engine in fleet.engines.values():
-            monitor = engine.integrity_monitor
-            if monitor is None:
-                continue
-            for event in monitor.events:
-                trial.corruptions_injected += 1
-                if event.detected:
-                    trial.corruptions_detected += 1
-                if event.healed_at is not None:
-                    trial.corruptions_healed += 1
-                if event.repaired_at is not None:
-                    trial.corruptions_repaired += 1
-                if event.repaired_by == "page-refetch":
-                    trial.repair_page_refetches += 1
-                elif event.repaired_by == "incremental-resync":
-                    trial.repair_resyncs += 1
-                elif event.repaired_by == "full-reseed":
-                    trial.repair_reseeds += 1
-                trial.latent_windows.append(
-                    round(event.latent_window(sim.now), 9)
-                )
-            if engine.repairer is not None:
-                trial.integrity_alarms += engine.repairer.alarms
+        # plus the bus (audit and refusal counters).
+        tally = CorruptionTally().add(
+            (stack.engine for stack in stacks.values()), sim.now
+        )
+        trial.corruptions_injected = tally.injected
+        trial.corruptions_detected = tally.detected
+        trial.corruptions_healed = tally.healed
+        trial.corruptions_repaired = tally.repaired
+        trial.repair_page_refetches = tally.repaired_by["page-refetch"]
+        trial.repair_resyncs = tally.repaired_by["incremental-resync"]
+        trial.repair_reseeds = tally.repaired_by["full-reseed"]
+        trial.integrity_alarms = tally.alarms
+        trial.latent_windows = tally.latent_windows
         if self.config.integrity:
             trial.scrub_audits = int(sum(
                 r.value for r in recorder.counters("integrity.scrub.audit")

@@ -28,6 +28,7 @@ from ..faults.spec import (
     FaultSchedule,
     ZONE_KINDS,
 )
+from ..integrity import CorruptionTally
 from ..telemetry import MetricsAggregator
 from .faults import FleetFaultInjector
 from .orchestrator import FleetOrchestrator
@@ -546,16 +547,18 @@ class FleetCampaign:
         end = orchestrator.now
         downtime = 0.0
         for shard in orchestrator.shards.values():
-            for failover in shard.failovers.values():
-                report = failover.report
+            # Failovers first, then gates: the summation order is part
+            # of the fingerprint.
+            for stack in shard.stacks.values():
+                report = stack.failover.report
                 if report is None:
                     continue
                 if report.failed:
                     downtime += end - report.detected_at
                 elif math.isfinite(report.resumption_time):
                     downtime += report.resumption_time
-            for gate in shard.gates.values():
-                recovery = gate.report
+            for stack in shard.stacks.values():
+                recovery = stack.gate.report if stack.gate is not None else None
                 if recovery is None:
                     continue
                 if recovery.recovered:
@@ -573,24 +576,16 @@ class FleetCampaign:
         )
         # Integrity accounting from the monitors' event ledgers (the
         # ground truth for injected-vs-caught) plus the merged bus.
+        tally = CorruptionTally()
         for shard in orchestrator.shards.values():
             engines = list(shard.engines.values())
             engines.extend(shard.reseed_engines.values())
-            for engine in engines:
-                monitor = engine.integrity_monitor
-                if monitor is None:
-                    continue
-                for event in monitor.events:
-                    result.corruptions_injected += 1
-                    if event.detected:
-                        result.corruptions_detected += 1
-                    if event.repaired_at is not None:
-                        result.corruptions_repaired += 1
-                    result.latent_windows.append(
-                        round(event.latent_window(shard.sim.now), 9)
-                    )
-                if engine.repairer is not None:
-                    result.integrity_alarms += engine.repairer.alarms
+            tally.add(engines, shard.sim.now)
+        result.corruptions_injected = tally.injected
+        result.corruptions_detected = tally.detected
+        result.corruptions_repaired = tally.repaired
+        result.integrity_alarms = tally.alarms
+        result.latent_windows = tally.latent_windows
         # Merged per-shard telemetry: pin the counters that prove the
         # fan-out actually crossed shard boundaries (and, with the
         # overlay armed, that scrubbing/refusal ran fleet-wide).

@@ -12,10 +12,11 @@ into a running fleet on the sharded kernel:
 2. Each planned **(primary host, secondary host) pair** becomes one
    shard of a :class:`~repro.simkernel.sharded.ShardedSimulation`,
    holding shard-local materializations of its two hosts, the VMs they
-   protect, one shared interconnect link, and a HERE engine + heartbeat
-   + failover controller per VM.  A physical host appearing in k pairs
-   is materialized k times — shard calendars never share objects, which
-   is what lets them advance independently between boundaries.
+   protect, one shared interconnect link, and a HERE engine and
+   :class:`~repro.cluster.protection.ProtectionStack` per VM.  A
+   physical host appearing in k pairs is materialized k times — shard
+   calendars never share objects, which is what lets them advance
+   independently between boundaries.
 3. A **control loop** on the fleet calendar runs every quantum:
    poll shards for redundancy losses -> reap finished re-seedings ->
    observe -> :meth:`~repro.fleet.control.FleetControlLogic.decide` ->
@@ -40,14 +41,8 @@ from ..hardware.link import LinkPair
 from ..hardware.memory import MemorySpec
 from ..hypervisor import registry
 from ..hypervisor.base import Hypervisor
-from ..recovery import (
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
+from ..cluster.protection import ProtectionStack
 from ..replication.engine import ReplicationEngine
-from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
 from ..replication.here import here_engine
 from ..simkernel.core import Simulation
 from ..simkernel.random import derive_seed
@@ -70,14 +65,8 @@ class PairShard:
     secondary: Hypervisor
     link: LinkPair
     engines: Dict[str, ReplicationEngine] = field(default_factory=dict)
-    monitors: Dict[str, HeartbeatMonitor] = field(default_factory=dict)
-    failovers: Dict[str, FailoverController] = field(default_factory=dict)
-    #: In-place microreboot engine for the shard's primary hypervisor
-    #: (None when the zone's policy is plain failover).
-    microreboot: Optional[MicrorebootEngine] = None
-    #: Recovery gates between each VM's monitor and failover
-    #: controller, keyed by VM name.
-    gates: Dict[str, RecoveryController] = field(default_factory=dict)
+    #: Each VM's detector -> recovery gate -> failover chain.
+    stacks: Dict[str, ProtectionStack] = field(default_factory=dict)
     #: Spare hypervisors materialized into this shard for re-seeding,
     #: keyed by logical host name.
     spares: Dict[str, Hypervisor] = field(default_factory=dict)
@@ -275,38 +264,19 @@ class FleetOrchestrator:
             # Per-zone policy: the zone of the shard's *primary* host
             # decides how its VMs answer a dead hypervisor.
             zone = self.topology.zone_of(shard.primary.host.name)
-            policy = RecoveryPolicy.parse(self.spec.policy_for_zone(zone))
+            policy = self.spec.policy_for_zone(zone)
             for vm_name in sorted(shard.engines):
                 engine = shard.engines[vm_name]
                 engine.start(vm_name)
-                monitor = HeartbeatMonitor(
+                stack = ProtectionStack(
                     shard.sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
+                    engine,
                     interval=self.spec.heartbeat_interval,
                     miss_threshold=self.spec.miss_threshold,
+                    policy=policy,
                 )
-                monitor.start()
-                detector_surface = monitor
-                if policy is not RecoveryPolicy.FAILOVER:
-                    if shard.microreboot is None:
-                        shard.microreboot = MicrorebootEngine(
-                            shard.sim, shard.primary
-                        )
-                    gate = RecoveryController(
-                        shard.sim, engine, monitor, shard.microreboot,
-                        policy=policy,
-                    )
-                    gate.start()
-                    shard.gates[vm_name] = gate
-                    detector_surface = gate
-                failover = FailoverController(
-                    shard.sim, engine, detector_surface
-                )
-                failover.arm()
-                shard.monitors[vm_name] = monitor
-                shard.failovers[vm_name] = failover
+                stack.start()
+                shard.stacks[vm_name] = stack
         deadline = self.now + seed_deadline
         while not self._all_ready() and self.now < deadline:
             self.sharded.step_quantum()
@@ -365,9 +335,9 @@ class FleetOrchestrator:
                 if vm_name in self._handled:
                     continue
                 engine = shard.engines[vm_name]
-                failover = shard.failovers.get(vm_name)
-                report = failover.report if failover is not None else None
-                gate = shard.gates.get(vm_name)
+                stack = shard.stacks[vm_name]
+                report = stack.failover.report
+                gate = stack.gate
                 recovery = gate.report if gate is not None else None
                 if recovery is not None and recovery.recovered:
                     # The microreboot restored the VM in place and the
@@ -657,10 +627,8 @@ class FleetOrchestrator:
     def halt(self, reason: str = "fleet halted") -> None:
         """Stop every engine and monitor (campaign teardown)."""
         for shard in self.shards.values():
-            for gate in shard.gates.values():
-                gate.stop()
-            for monitor in shard.monitors.values():
-                monitor.stop()
+            for stack in shard.stacks.values():
+                stack.stop(reason)
             for engine in shard.engines.values():
                 engine.halt(reason)
             for engine in shard.reseed_engines.values():

@@ -71,6 +71,9 @@ class Hypervisor:
         #: resident so an in-place microreboot can resume them.  Host
         #: power loss still destroys guests: RAM does not survive it.
         self.guest_preservation = False
+        #: The microreboot engine that armed preservation; every
+        #: recovery gate on this hypervisor shares it.
+        self.microreboot = None
         #: Fault kind of the last failure, tagged onto the reboot span
         #: ("hypervisor-crash" | "hypervisor-hang" |
         #: "hypervisor-starve" | "host-power-loss").

@@ -36,6 +36,7 @@ from .monitor import (
     TORN_APPLY,
     TRANSLATOR_DRIFT,
     CorruptionEvent,
+    CorruptionTally,
     IntegrityMonitor,
 )
 from .repair import REPAIR_RUNGS, IntegrityRepairController
@@ -50,6 +51,7 @@ __all__ = [
     "IntegrityMonitor",
     "IntegrityRepairController",
     "CorruptionEvent",
+    "CorruptionTally",
     "REPAIR_RUNGS",
     "REPLICA_BITROT",
     "RUNG_SCOPES",

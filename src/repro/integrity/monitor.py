@@ -23,8 +23,9 @@ both sides of the integrity game:
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..vm.vcpu import CONTROL_REGISTERS, GP_REGISTERS
 from .config import IntegrityConfig
@@ -97,6 +98,39 @@ class CorruptionEvent:
             if stamp is not None:
                 return max(0.0, stamp - self.injected_at)
         return max(0.0, until - self.injected_at)
+
+
+@dataclass
+class CorruptionTally:
+    """Corruption outcomes summed over engines' integrity ledgers (the
+    ground truth for injected-vs-caught), for the campaign harvests."""
+
+    injected: int = 0
+    detected: int = 0
+    healed: int = 0
+    repaired: int = 0
+    #: Repair rung -> corruptions it cleared.
+    repaired_by: Counter = field(default_factory=Counter)
+    alarms: int = 0
+    latent_windows: List[float] = field(default_factory=list)
+
+    def add(self, engines: Iterable, now: float) -> "CorruptionTally":
+        """Fold in each engine's ledger; open windows close at ``now``."""
+        for engine in engines:
+            monitor = engine.integrity_monitor
+            if monitor is None:
+                continue
+            for event in monitor.events:
+                self.injected += 1
+                self.detected += event.detected
+                self.healed += event.healed_at is not None
+                self.repaired += event.repaired_at is not None
+                if event.repaired_by is not None:
+                    self.repaired_by[event.repaired_by] += 1
+                self.latent_windows.append(round(event.latent_window(now), 9))
+            if engine.repairer is not None:
+                self.alarms += engine.repairer.alarms
+        return self
 
 
 class IntegrityMonitor:

@@ -75,6 +75,7 @@ class MicrorebootEngine:
         self._process = None
         # Arm preservation: from now on a crash pauses guests in place.
         hypervisor.guest_preservation = True
+        hypervisor.microreboot = self
 
     def request(self, reason: str = ""):
         """An event firing with the :class:`MicrorebootReport` for the

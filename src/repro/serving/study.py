@@ -39,13 +39,7 @@ from ..cluster.deployment import (
 )
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
-from ..recovery import (
-    MicrorebootConfig,
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
-from ..replication.failover import FailoverController
+from ..recovery import MicrorebootConfig, RecoveryPolicy
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
 from .model import ServingConfig, ServingReport, overlay_report
@@ -184,44 +178,24 @@ class ServingStudy:
         unreplicated = strategy == "failover"
         if unreplicated:
             deployment = unprotected_baseline(spec)
+        elif strategy == "hybrid-recovery":
+            deployment = ProtectedDeployment(
+                spec,
+                policy=RecoveryPolicy.HYBRID,
+                microreboot=MicrorebootConfig.with_uniform_prob(
+                    config.recovery_success_prob
+                ),
+            )
         else:
             deployment = ProtectedDeployment(spec)
         sim = deployment.sim
         recorder = Recorder.attach(sim.telemetry)
-
-        gate = None
-        if strategy == "hybrid-recovery":
-            microreboot = MicrorebootEngine(
-                sim,
-                deployment.primary,
-                config=MicrorebootConfig.with_uniform_prob(
-                    config.recovery_success_prob
-                ),
-            )
-            gate = RecoveryController(
-                sim,
-                deployment.engine,
-                deployment.monitor,
-                microreboot,
-                policy=RecoveryPolicy.HYBRID,
-            )
-            # The failover controller must watch the gate, not the raw
-            # detector: suspicion is withheld while the microreboot is
-            # in flight.  Replace it before start_protection arms it.
-            deployment.failover = FailoverController(
-                sim,
-                deployment.engine,
-                gate,
-                replica_service_link=deployment.testbed.service_secondary,
-            )
 
         if unreplicated:
             # No engine, no seeding: just watch the primary.
             deployment.monitor.start()
         else:
             deployment.start_protection(wait_ready=True)
-            if gate is not None:
-                gate.start()
 
         serve_start = sim.now
         horizon = serve_start + config.duration
@@ -241,9 +215,7 @@ class ServingStudy:
         )
         sim.run(until=horizon)
         # Close out so session spans land on the bus before harvest.
-        deployment.monitor.stop()
-        if gate is not None:
-            gate.stop()
+        deployment.stack.stop()
         if not unreplicated:
             deployment.engine.halt("study over")
         sim.run(until=sim.now + 0.5)
@@ -285,10 +257,7 @@ class ServingStudy:
             extra.append((crash_time, detected))
             blackout = detected - crash_time
 
-        engine_names = {}
-        engine = getattr(deployment, "engine", None)
-        if engine is not None and getattr(engine, "name", None):
-            engine_names[spec.vm_name] = (engine.name,)
+        engine_names = {spec.vm_name: (deployment.engine.name,)}
 
         def _report(hedge: float) -> ServingReport:
             serving = replace(config.serving, hedge=hedge)

@@ -6,13 +6,12 @@ import pytest
 
 from repro.cluster.deployment import ProtectedFleet
 from repro.cluster.planner import PlacementRequest, ReplicationPlanner
+from repro.cluster.protection import ProtectionStack
 from repro.faults import ReprotectionController
 from repro.hardware.host import Host
 from repro.hardware.memory import MemorySpec
 from repro.hardware.units import GIB
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication.failover import FailoverController
-from repro.replication.heartbeat import HeartbeatMonitor
 from repro.simkernel.core import Simulation
 from repro.telemetry import Recorder
 
@@ -46,19 +45,14 @@ def build_cluster(seed=3, vms=1, with_spare=True):
     fleet.start_protection(wait_ready=True)
     controllers = {}
     for vm_name, engine in fleet.engines.items():
-        monitor = HeartbeatMonitor(
-            sim, engine.primary.host, engine.primary, engine.link,
-            interval=0.03, miss_threshold=3,
+        stack = ProtectionStack(
+            sim, engine, interval=0.03, miss_threshold=3,
+            spares=hypervisors, target_degradation=0.0, t_max=2.0,
         )
-        monitor.start()
-        failover = FailoverController(sim, engine, monitor)
-        failover.arm()
-        reprotection = ReprotectionController(
-            sim, failover, spares=hypervisors,
-            target_degradation=0.0, t_max=2.0,
+        stack.start()
+        controllers[vm_name] = (
+            stack.monitor, stack.failover, stack.reprotection
         )
-        reprotection.arm()
-        controllers[vm_name] = (monitor, failover, reprotection)
     return sim, hypervisors, fleet, controllers, recorder
 
 

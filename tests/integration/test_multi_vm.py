@@ -72,20 +72,16 @@ class TestFleetProtection:
         assert min(fleet_seed_times) >= solo_seed_time * 0.95
 
     def test_host_failure_fails_over_every_vm(self):
-        from repro.replication import FailoverController, HeartbeatMonitor
+        from repro.cluster.protection import ProtectionStack
 
         sim, testbed, xen, kvm, engines = build_fleet(2)
         for engine in engines:
             sim.run_until_triggered(engine.ready, limit=1e5)
         controllers = []
         for engine in engines:
-            monitor = HeartbeatMonitor(
-                sim, testbed.primary, xen, testbed.interconnect
-            )
-            monitor.start()
-            controller = FailoverController(sim, engine, monitor)
-            controller.arm()
-            controllers.append(controller)
+            stack = ProtectionStack(sim, engine)
+            stack.start()
+            controllers.append(stack.failover)
         sim.schedule_callback(5.0, lambda: xen.crash("DoS"))
         for controller in controllers:
             sim.run_until_triggered(
