@@ -435,8 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a campaign under cProfile and rank host-time hot spots",
     )
     profile.add_argument(
-        "--preset", choices=["chaos", "fleet"], default="chaos",
-        help="which campaign to profile",
+        "--preset", choices=["chaos", "fleet", "serving"], default="chaos",
+        help="which campaign to profile (serving: one five-way "
+             "ServingStudy at StudyConfig defaults)",
     )
     profile.add_argument("--trials", type=_positive_int, default=2,
                          help="chaos preset: trials per run")
@@ -1166,7 +1167,12 @@ def _cmd_profile(args) -> int:
 
     from .profiling import WallClockSampler, profile_call, throughput_line
 
+    if args.spans and args.preset == "serving":
+        print("error: --spans needs a campaign bus; the serving preset "
+              "has none", file=sys.stderr)
+        return 2
     sampler = WallClockSampler() if args.spans else None
+    unit, rate_unit = "sim-events", "steps/sec"
 
     if args.preset == "chaos":
         from .faults import CampaignConfig, ChaosCampaign, FaultKind
@@ -1185,6 +1191,19 @@ def _cmd_profile(args) -> int:
 
         def events(result):
             return float(result.total_events_processed)
+    elif args.preset == "serving":
+        from .serving import ServingStudy, StudyConfig
+
+        unit, rate_unit = "requests", "requests/sec"
+
+        def run():
+            return ServingStudy(StudyConfig(seed=args.seed)).run()
+
+        def events(outcomes):
+            # StudyConfig defaults do not hedge: one solve per request.
+            return float(sum(
+                outcome.report.requests for outcome in outcomes.values()
+            ))
     else:
         from .faults import FaultKind
         from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
@@ -1214,7 +1233,7 @@ def _cmd_profile(args) -> int:
             [spot.to_dict() for spot in sampler.hotspots(limit=args.limit)],
             title="Host time by telemetry record name (flat attribution)",
         ))
-    print(throughput_line(events(result), wall))
+    print(throughput_line(events(result), wall, unit, rate_unit))
     return 0
 
 

@@ -15,7 +15,8 @@ experiment path stays bit-for-bit untouched:
   one clock read per record.
 * :func:`profile_call` — a cProfile harness around any callable,
   returning both its result and the formatted top-N stats.  The
-  ``repro profile`` CLI command wraps a chaos or fleet campaign in it.
+  ``repro profile`` CLI command wraps a chaos or fleet campaign, or a
+  serving study, in it.
 
 :func:`throughput` and :func:`throughput_line` turn (events, wall
 seconds) pairs into the one-line ``steps/sec`` figures the CLI prints
@@ -133,10 +134,15 @@ def throughput(events: float, wall_seconds: float) -> float:
     return events / wall_seconds
 
 
-def throughput_line(events: float, wall_seconds: float) -> str:
+def throughput_line(
+    events: float,
+    wall_seconds: float,
+    unit: str = "sim-events",
+    rate_unit: str = "steps/sec",
+) -> str:
     """The CLI's one-line throughput summary for a finished run."""
     rate = throughput(events, wall_seconds)
     return (
-        f"throughput: {events:,.0f} sim-events in {wall_seconds:.2f}s "
-        f"wall — {rate:,.0f} steps/sec"
+        f"throughput: {events:,.0f} {unit} in {wall_seconds:.2f}s "
+        f"wall — {rate:,.0f} {rate_unit}"
     )

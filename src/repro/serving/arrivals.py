@@ -15,6 +15,7 @@ tree, so the same seed reproduces the same arrival vector bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -107,17 +108,23 @@ class TraceArrivals:
     ) -> np.ndarray:
         if end <= start:
             raise ValueError(f"empty arrival window: [{start}, {end})")
-        ticks = len(self.counts)
+        # Tick bounds are ``start + index * tick``, never a running sum
+        # (which drifts).  A span within rounding of a whole number of
+        # ticks is exactly that many ticks: no sliver tick, no draw.
+        span = (end - start) / self.tick
+        ticks_in_window = round(span)
+        whole = math.isclose(span, ticks_in_window, rel_tol=1e-9)
+        if not whole:
+            ticks_in_window = math.ceil(span)
         chunks = []
-        index = 0
-        tick_start = start
-        while tick_start < end:
-            tick_end = min(tick_start + self.tick, end)
-            count = self.counts[index % ticks]
-            # Partial final tick: thin the count proportionally.
-            if tick_end - tick_start < self.tick:
+        for index in range(ticks_in_window):
+            tick_start = start + index * self.tick
+            tick_end = min(start + (index + 1) * self.tick, end)
+            count = self.counts[index % len(self.counts)]
+            if not whole and index == ticks_in_window - 1:
+                # Partial final tick: thin the count proportionally.
                 count = int(
-                    rng.binomial(count, (tick_end - tick_start) / self.tick)
+                    rng.binomial(count, (end - tick_start) / self.tick)
                 )
             if count:
                 times = tick_start + rng.random(count) * (
@@ -125,8 +132,6 @@ class TraceArrivals:
                 )
                 times.sort()
                 chunks.append(times)
-            index += 1
-            tick_start += self.tick
         if not chunks:
             return np.empty(0, dtype=np.float64)
         return np.concatenate(chunks)
@@ -135,9 +140,8 @@ class TraceArrivals:
 def parse_trace(text: Sequence[str] | str, tick: float = 1.0) -> TraceArrivals:
     """Build :class:`TraceArrivals` from lines of integer counts.
 
-    Accepts an iterable of lines or one newline/comma-separated string
-    (the ``repro serve --trace-counts`` input format); blank lines and
-    ``#`` comments are ignored.
+    Accepts an iterable of lines or one newline/comma-separated string;
+    blank lines and ``#`` comments are ignored.
     """
     if isinstance(text, str):
         lines = text.replace(",", "\n").splitlines()

@@ -13,9 +13,12 @@ Kleinrock's virtual time ``V(t)`` with ``dV/dt = C(t)/N(t)``: a
 request arriving at ``a`` finishes when ``V`` reaches ``V(a) + s``.
 ``V`` is non-decreasing, so completion order equals arrival order and
 the whole queue reduces to a head pointer over a monotone threshold
-array — O(n) overall, with the completion runs between arrivals popped
-in bulk via a vectorized cumulative sum (the drain after a pause, when
-hundreds of requests finish back to back, is one numpy call).
+list — O(n) overall.  A run of completions between two boundaries is
+popped by a scalar loop that accumulates the weighted threshold gaps
+one at a time, left to right: the same additions, in the same order,
+as the ``np.cumsum`` this loop replaced, so every completion time is
+bit-identical to it.  At serving loads the backlog is almost always
+0–2, where a per-pop numpy call costs far more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-#: Bulk completion pops are chunked so one pop never allocates more
-#: than this many candidate times at once.
+#: The completion-time accumulation restarts from the last popped
+#: request every this many pops.  A determinism anchor, not a memory
+#: cap: the restart point fixes the rounding of every later time.
 _CHUNK = 8192
 
 
@@ -125,77 +129,62 @@ def ps_complete(
     validate_segments(segments)
     arrivals = np.asarray(arrivals, dtype=np.float64)
     n = arrivals.size
-    completions = np.full(n, math.nan)
     if n == 0:
-        return completions
+        return np.empty(0)
     if np.any(np.diff(arrivals) < 0):
         raise ValueError("arrivals must be sorted ascending")
     if arrivals[0] < segments[0].start or arrivals[-1] > segments[-1].end:
         raise ValueError("arrivals outside the segment span")
 
-    theta = np.empty(n, dtype=np.float64)  # virtual completion thresholds
+    theta = [math.inf] * n  # virtual completion thresholds, set on arrival
+    completions = [math.nan] * n
     head = 0  # oldest unfinished request
-    tail = 0  # next slot to fill
+    tail = 0  # next arrival to admit
     virtual = 0.0
-    now = segments[0].start
     arrival_list = arrivals.tolist()
-    next_arrival_index = 0
 
     for segment in segments:
         now = segment.start
+        end = segment.end
         if segment.lost:
             # Blackout: everything in flight dies, arrivals bounce.
+            while tail < n and arrival_list[tail] < end:
+                tail += 1
             head = tail
-            while (
-                next_arrival_index < n
-                and arrival_list[next_arrival_index] < segment.end
-            ):
-                theta[tail] = math.inf  # lost: never completes
-                head = tail = tail + 1
-                next_arrival_index += 1
-            now = segment.end
             continue
         capacity = segment.capacity
         while True:
-            at_arrival = (
-                next_arrival_index < n
-                and arrival_list[next_arrival_index] < segment.end
-            )
-            boundary = (
-                arrival_list[next_arrival_index]
-                if at_arrival
-                else segment.end
-            )
-            # Pop every completion due before the boundary.  The head
-            # check is scalar (the common no-completion case); runs of
-            # completions fall through to the vectorized cumsum.
+            at_arrival = tail < n and arrival_list[tail] < end
+            boundary = arrival_list[tail] if at_arrival else end
+            # Pop every completion due by the boundary.  ``acc`` starts
+            # at -0.0, the exact identity of IEEE addition, so its
+            # first value is the first term itself, as in a cumsum.
             while head < tail and capacity > 0.0:
-                backlog = tail - head
-                head_time = now + (theta[head] - virtual) * backlog / capacity
-                if head_time > boundary:
+                weight = tail - head
+                stop = tail if weight <= _CHUNK else head + _CHUNK
+                prev = virtual
+                acc = -0.0
+                k = head
+                while k < stop:
+                    threshold = theta[k]
+                    acc += (threshold - prev) * weight
+                    due = now + acc / capacity
+                    if due > boundary:
+                        break
+                    completions[k] = due
+                    prev = threshold
+                    weight -= 1
+                    k += 1
+                if k == head:
                     break
-                chunk = min(backlog, _CHUNK)
-                deltas = np.diff(theta[head : head + chunk], prepend=virtual)
-                times = now + np.cumsum(
-                    deltas * (backlog - np.arange(chunk))
-                ) / capacity
-                popped = int(np.searchsorted(times, boundary, side="right"))
-                if popped == 0:
-                    break
-                completions[head : head + popped] = times[:popped]
-                now = float(times[popped - 1])
-                virtual = float(theta[head + popped - 1])
-                head += popped
-            if at_arrival:
-                if head < tail and capacity > 0.0:
-                    virtual += (boundary - now) * capacity / (tail - head)
-                now = boundary
-                theta[tail] = virtual + demand
-                tail += 1
-                next_arrival_index += 1
-            else:
-                if head < tail and capacity > 0.0:
-                    virtual += (boundary - now) * capacity / (tail - head)
-                now = boundary
+                now = completions[k - 1]
+                virtual = prev
+                head = k
+            if head < tail and capacity > 0.0:
+                virtual += (boundary - now) * capacity / (tail - head)
+            now = boundary
+            if not at_arrival:
                 break
-    return completions
+            theta[tail] = virtual + demand
+            tail += 1
+    return np.array(completions, dtype=np.float64)

@@ -70,6 +70,20 @@ class TestTraceArrivals:
         assert 0 < times.size < 1000
         assert times.size == pytest.approx(500, rel=0.2)
 
+    @pytest.mark.parametrize("ticks, end", [(10, 1.0), (3, 0.3), (7, 0.7)])
+    def test_whole_ticks_take_no_thinning_draw(self, ticks, end):
+        # A running ``tick_start += tick`` drifts: over [0, 1) at tick
+        # 0.1 it visits an 11th, near-zero-width tick whose binomial
+        # draw shifts every later draw on the same generator.
+        trace = TraceArrivals(counts=(5,) * ticks, tick=0.1)
+        rng = np.random.default_rng(11)
+        times = trace.sample(0.0, end, rng)
+        assert times.size == 5 * ticks
+        reference = np.random.default_rng(11)
+        for _ in range(ticks):
+            reference.random(5)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_aggregate_rate_and_scaling(self):
         trace = TraceArrivals(counts=(10, 30), tick=2.0)
         assert trace.aggregate_rate == pytest.approx(10.0)

@@ -283,6 +283,22 @@ class TestServeCommand:
         assert "crash_at" in capsys.readouterr().err
 
 
+class TestProfileCommand:
+    def test_serving_preset_reports_requests_per_second(self, capsys):
+        assert main([
+            "profile", "--preset", "serving", "--sort", "tottime",
+            "--limit", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "function calls" in out
+        assert "ps_complete" in out
+        assert "requests/sec" in out
+
+    def test_serving_preset_rejects_spans(self, capsys):
+        assert main(["profile", "--preset", "serving", "--spans"]) == 2
+        assert "--spans" in capsys.readouterr().err
+
+
 class TestArgumentValidation:
     def test_chaos_rejects_non_positive_trials(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -108,3 +108,8 @@ class TestThroughput:
         line = throughput_line(12345, 0.5)
         assert "12,345 sim-events" in line
         assert "24,690 steps/sec" in line
+
+    def test_line_names_its_units(self):
+        line = throughput_line(300, 0.5, "requests", "requests/sec")
+        assert "300 requests in 0.50s" in line
+        assert "600 requests/sec" in line

@@ -13,8 +13,12 @@ inputs instead of hand-picked cases:
   the same verdicts;
 * ``DirtyLog.record_uniform_spread`` must leave the shared and
   per-vCPU state bit-identical to the per-vCPU ``record_uniform``
-  loop it replaced, under arbitrary interleavings.
+  loop it replaced, under arbitrary interleavings;
+* ``ps_complete``'s scalar pop loop must return the same completion
+  times, NaNs included, as the ``np.cumsum`` pop path it replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +28,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.link import Link
 from repro.hardware.nic import Nic
+from repro.serving.queue import (
+    CapacitySegment,
+    ps_complete,
+    segments_from_windows,
+    validate_segments,
+)
 from repro.simkernel import Simulation
 from repro.vm.dirty import DirtyLog, unique_pages, unique_pages_batch
 
@@ -194,3 +204,158 @@ class TestSpreadMatchesPerVcpuLoop:
         assert (
             batched.peek().chunk_touches == looped.peek().chunk_touches
         ).all()
+
+
+#: The oracle's chunk size, fixed independently of ``repro``'s.
+_ORACLE_CHUNK = 8192
+
+
+def numpy_ps_complete(arrivals, demand, segments):
+    """The numpy ``ps_complete`` the scalar loop replaced: the oracle.
+
+    Copied unchanged but for the chunk constant's name.
+    """
+    if demand <= 0:
+        raise ValueError(f"per-request demand must be positive: {demand}")
+    validate_segments(segments)
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    n = arrivals.size
+    completions = np.full(n, math.nan)
+    if n == 0:
+        return completions
+    if np.any(np.diff(arrivals) < 0):
+        raise ValueError("arrivals must be sorted ascending")
+    if arrivals[0] < segments[0].start or arrivals[-1] > segments[-1].end:
+        raise ValueError("arrivals outside the segment span")
+
+    theta = np.empty(n, dtype=np.float64)  # virtual completion thresholds
+    head = 0  # oldest unfinished request
+    tail = 0  # next slot to fill
+    virtual = 0.0
+    now = segments[0].start
+    arrival_list = arrivals.tolist()
+    next_arrival_index = 0
+
+    for segment in segments:
+        now = segment.start
+        if segment.lost:
+            # Blackout: everything in flight dies, arrivals bounce.
+            head = tail
+            while (
+                next_arrival_index < n
+                and arrival_list[next_arrival_index] < segment.end
+            ):
+                theta[tail] = math.inf  # lost: never completes
+                head = tail = tail + 1
+                next_arrival_index += 1
+            now = segment.end
+            continue
+        capacity = segment.capacity
+        while True:
+            at_arrival = (
+                next_arrival_index < n
+                and arrival_list[next_arrival_index] < segment.end
+            )
+            boundary = (
+                arrival_list[next_arrival_index]
+                if at_arrival
+                else segment.end
+            )
+            # Pop every completion due before the boundary.  The head
+            # check is scalar (the common no-completion case); runs of
+            # completions fall through to the vectorized cumsum.
+            while head < tail and capacity > 0.0:
+                backlog = tail - head
+                head_time = now + (theta[head] - virtual) * backlog / capacity
+                if head_time > boundary:
+                    break
+                chunk = min(backlog, _ORACLE_CHUNK)
+                deltas = np.diff(theta[head : head + chunk], prepend=virtual)
+                times = now + np.cumsum(
+                    deltas * (backlog - np.arange(chunk))
+                ) / capacity
+                popped = int(np.searchsorted(times, boundary, side="right"))
+                if popped == 0:
+                    break
+                completions[head : head + popped] = times[:popped]
+                now = float(times[popped - 1])
+                virtual = float(theta[head + popped - 1])
+                head += popped
+            if at_arrival:
+                if head < tail and capacity > 0.0:
+                    virtual += (boundary - now) * capacity / (tail - head)
+                now = boundary
+                theta[tail] = virtual + demand
+                tail += 1
+                next_arrival_index += 1
+            else:
+                if head < tail and capacity > 0.0:
+                    virtual += (boundary - now) * capacity / (tail - head)
+                now = boundary
+                break
+    return completions
+
+
+def assert_bit_identical(ours, oracle):
+    """Same shape, same IEEE-754 bit patterns (NaN positions too)."""
+    assert ours.dtype == oracle.dtype == np.float64
+    assert ours.shape == oracle.shape
+    assert (ours.view(np.int64) == oracle.view(np.int64)).all()
+
+
+windows = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.3),
+    ),
+    max_size=4,
+)
+
+
+class TestScalarPsMatchesNumpyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        horizon=st.floats(min_value=0.5, max_value=50.0),
+        fractions=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), max_size=300
+        ),
+        demand=st.floats(min_value=1e-4, max_value=2.0),
+        capacity=st.floats(min_value=0.05, max_value=4.0),
+        pauses=windows,
+        blackouts=windows,
+    )
+    def test_bit_identical_completions(
+        self, horizon, fractions, demand, capacity, pauses, blackouts
+    ):
+        arrivals = np.sort(np.asarray(fractions, dtype=np.float64) * horizon)
+
+        def scaled(drawn):
+            return [
+                (lo * horizon, (lo + width) * horizon) for lo, width in drawn
+            ]
+
+        segments = segments_from_windows(
+            0.0, horizon, scaled(pauses), scaled(blackouts), capacity
+        )
+        assert_bit_identical(
+            ps_complete(arrivals, demand, segments),
+            numpy_ps_complete(arrivals, demand, segments),
+        )
+
+    def test_drain_past_the_chunk_restart_through_a_blackout(self):
+        # 10k requests pile up behind a slow start, so the drain from
+        # t=5 begins with a backlog above 8,192; PS finishes nearly all
+        # of them in one run at its end, which the blackout cuts after
+        # about 9.1k pops, past the first accumulation restart.
+        rng = np.random.default_rng(2023)
+        arrivals = np.sort(rng.uniform(0.0, 5.0, size=10_000))
+        segments = [
+            CapacitySegment(0.0, 5.0, capacity=0.05),
+            CapacitySegment(5.0, 14.749),
+            CapacitySegment(14.749, 15.749, capacity=0.0, lost=True),
+            CapacitySegment(15.749, 20.0),
+        ]
+        ours = ps_complete(arrivals, 0.001, segments)
+        assert_bit_identical(ours, numpy_ps_complete(arrivals, 0.001, segments))
+        served = np.count_nonzero(~np.isnan(ours))
+        assert _ORACLE_CHUNK < served < arrivals.size
