@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="misses tolerated while the transport reports the link "
              "lossy-but-alive (default 12 under --preset lossy)",
     )
-    chaos.add_argument("--recovery-time", type=float, default=60.0,
+    chaos.add_argument("--recovery-time", type=_positive_float, default=60.0,
                        help="seconds each trial runs after the fault window")
     chaos.add_argument(
         "--recovery-policy",
@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--duration", type=float, default=None,
                        help="per-trial measure window in simulated "
                             "seconds (ycsb/table6 presets)")
-    sweep.add_argument("--recovery-time", type=float, default=30.0,
+    sweep.add_argument("--recovery-time", type=_positive_float, default=30.0,
                        help="chaos/fleet presets: post-fault run time "
                             "per trial")
     sweep.add_argument("--zones", type=_positive_int, default=3,
@@ -730,6 +730,50 @@ def _cmd_plan(args) -> int:
     return 0 if result.fully_placed else 1
 
 
+def _microreboot_config(args):
+    """The microreboot model the ``--recovery-*`` flags describe."""
+    from .recovery import MicrorebootConfig
+
+    overrides = dict(
+        rebuild_time_min=args.recovery_rebuild_min,
+        rebuild_time_max=args.recovery_rebuild_max,
+        deadline=args.recovery_deadline,
+    )
+    if args.recovery_success_prob is None:
+        return MicrorebootConfig(**overrides)
+    return MicrorebootConfig.with_uniform_prob(
+        args.recovery_success_prob, **overrides
+    )
+
+
+def _serving_config(args):
+    """The ``--serving-*`` overlay; None unless ``--serving-users`` > 0."""
+    if not args.serving_users:
+        return None
+    from .serving import ServingConfig
+
+    return ServingConfig(
+        users=args.serving_users,
+        rate_per_user=args.serving_rate_per_user,
+        demand=args.serving_demand,
+        slo=args.serving_slo,
+        hedge=args.serving_hedge,
+    )
+
+
+def _integrity_config(args, armed: bool):
+    """The ``--scrub-*``/``--promote-*`` overlay; None unless armed."""
+    if not armed:
+        return None
+    from .integrity import IntegrityConfig
+
+    return IntegrityConfig(
+        scrub_interval=args.scrub_interval,
+        scrub_bandwidth=args.scrub_bandwidth_gib * GIB,
+        refuse_failover=not args.promote_suspect_replicas,
+    )
+
+
 def _run_fleet_chaos(args) -> int:
     """``repro chaos --preset fleet``: one fleet campaign per trial."""
     from .faults import FaultKind
@@ -754,11 +798,7 @@ def _run_fleet_chaos(args) -> int:
                 faults=args.faults,
                 recovery_time=args.recovery_time,
                 kinds=(FaultKind.ZONE_OUTAGE,),
-                serving_users=args.serving_users,
-                serving_rate_per_user=args.serving_rate_per_user,
-                serving_demand=args.serving_demand,
-                serving_slo=args.serving_slo,
-                serving_hedge=args.serving_hedge,
+                serving=_serving_config(args),
             )
             result = FleetCampaign(config).run()
             dropped += result.dropped_vms
@@ -832,19 +872,11 @@ def _cmd_chaos(args) -> int:
             reliable_transport=lossy,
             degraded_miss_threshold=degraded_misses,
             recovery_policy=recovery_policy,
-            recovery_success_prob=args.recovery_success_prob,
-            recovery_rebuild_min=args.recovery_rebuild_min,
-            recovery_rebuild_max=args.recovery_rebuild_max,
-            recovery_deadline=args.recovery_deadline,
-            serving_users=args.serving_users,
-            serving_rate_per_user=args.serving_rate_per_user,
-            serving_demand=args.serving_demand,
-            serving_slo=args.serving_slo,
-            serving_hedge=args.serving_hedge,
-            integrity=args.integrity or corruption,
-            integrity_scrub_interval=args.scrub_interval,
-            integrity_scrub_bandwidth=args.scrub_bandwidth_gib * GIB,
-            integrity_refuse_failover=not args.promote_suspect_replicas,
+            microreboot=_microreboot_config(args),
+            serving=_serving_config(args),
+            integrity=_integrity_config(
+                args, armed=args.integrity or corruption
+            ),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -894,7 +926,7 @@ def _cmd_chaos(args) -> int:
                         f"{trial.corruptions_injected}/"
                         f"{trial.corruptions_detected}/"
                         f"{trial.corruptions_repaired}",
-                } if config.integrity else {}),
+                } if config.integrity is not None else {}),
             }
             for trial in result.trials
         ],

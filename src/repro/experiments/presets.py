@@ -28,7 +28,7 @@ CLI (``repro sweep --preset ...``) and CI smoke.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import DeploymentSpec, ProtectedDeployment, unprotected_baseline
@@ -232,16 +232,42 @@ def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     return metrics, aggregator.summary_rows()
 
 
+def _encode_configs(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Spec params with every nested config as a plain JSON dict."""
+    return {
+        key: asdict(value) if is_dataclass(value) else value
+        for key, value in params.items()
+    }
+
+
+def _decode_configs(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Campaign-config kwargs from spec params: rebuilds the fault kinds
+    and the overlay configs the sweep builders stored as JSON dicts."""
+    from ..faults import FaultKind
+    from ..integrity import IntegrityConfig
+    from ..recovery import MicrorebootConfig
+    from ..serving import ServingConfig
+
+    params = dict(params)
+    if params.get("kinds") is not None:
+        params["kinds"] = tuple(FaultKind(kind) for kind in params["kinds"])
+    for key, config_class in (
+        ("microreboot", MicrorebootConfig),
+        ("serving", ServingConfig),
+        ("integrity", IntegrityConfig),
+    ):
+        if isinstance(params.get(key), dict):
+            params[key] = config_class(**params[key])
+    return params
+
+
 @register_trial("chaos-trial")
 def run_chaos_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     """One trial of a chaos campaign, by campaign config + trial index."""
-    from ..faults import CampaignConfig, ChaosCampaign, FaultKind
+    from ..faults import CampaignConfig, ChaosCampaign
 
-    params = dict(params)
+    params = _decode_configs(params)
     index = int(params.pop("index", 0))
-    kinds = params.pop("kinds", None)
-    if kinds is not None:
-        params["kinds"] = tuple(FaultKind(kind) for kind in kinds)
     aggregator = MetricsAggregator()
     campaign = ChaosCampaign(CampaignConfig(**params), subscribers=[aggregator])
     trial = campaign.run_trial(index)
@@ -282,34 +308,19 @@ def run_serving_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
 @register_trial("fleet-trial")
 def run_fleet_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     """One seeded fleet chaos campaign (zone/rack outages at scale)."""
-    from ..faults import FaultKind
     from ..fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 
-    params = dict(params)
-    spec_params = dict(params.pop("spec", {}))
-    config_kwargs: Dict[str, Any] = {}
-    for key in (
-        "settle_time", "fault_window", "recovery_time", "faults",
-        "serving_users", "serving_rate_per_user", "serving_demand",
-        "serving_slo", "serving_hedge",
-    ):
-        if key in params:
-            config_kwargs[key] = params.pop(key)
-    if "outage_duration" in params:
-        config_kwargs["outage_duration"] = tuple(
-            params.pop("outage_duration")
-        )
-    kinds = params.pop("kinds", None)
-    if kinds is not None:
-        config_kwargs["kinds"] = tuple(FaultKind(kind) for kind in kinds)
+    params = _decode_configs(params)
+    spec = FleetSpec(**_decode_configs(params.pop("spec", {})))
     # The sweep runner injects the spec-level seed; the fleet seed
     # rides inside the nested FleetSpec params, so it is redundant here.
     params.pop("seed", None)
-    if params:
-        raise ValueError(f"unknown fleet-trial params: {sorted(params)}")
-    campaign = FleetCampaign(
-        FleetCampaignConfig(spec=FleetSpec(**spec_params), **config_kwargs)
-    )
+    unknown = set(params) - {f.name for f in fields(FleetCampaignConfig)}
+    if unknown:
+        raise ValueError(f"unknown fleet-trial params: {sorted(unknown)}")
+    if "outage_duration" in params:
+        params["outage_duration"] = tuple(params["outage_duration"])
+    campaign = FleetCampaign(FleetCampaignConfig(spec=spec, **params))
     result = campaign.run()
     metrics: Dict[str, Any] = {"fingerprint": result.fingerprint()}
     metrics.update(result.metrics())
@@ -451,7 +462,9 @@ def fleet_sweep(
     Keyword overrides split naturally: :class:`~repro.fleet.FleetSpec`
     fields go under ``spec`` (a dict), campaign knobs
     (``settle_time`` / ``fault_window`` / ``recovery_time`` /
-    ``faults`` / ``outage_duration`` / ``kinds``) ride at top level.
+    ``faults`` / ``outage_duration`` / ``kinds`` / ``serving``) ride at
+    top level.  Nested configs (``serving``, ``spec["integrity"]``) are
+    stored in the params as plain JSON dicts.
     """
     if trials < 1:
         raise ValueError(f"a fleet sweep needs >= 1 trial: {trials}")
@@ -462,14 +475,14 @@ def fleet_sweep(
         spares=3,
         vms=6,
     )
-    spec_defaults.update(overrides.pop("spec", {}))
+    spec_defaults.update(_encode_configs(overrides.pop("spec", {})))
     params_base: Dict[str, Any] = dict(
         settle_time=3.0,
         fault_window=4.0,
         recovery_time=25.0,
         faults=1,
     )
-    params_base.update(overrides)
+    params_base.update(_encode_configs(overrides))
     specs = []
     for index in range(trials):
         trial_seed = derive_seed(seed, f"fleet-trial-{index}")

@@ -21,8 +21,8 @@ aggregate numbers, which is what the regression suite pins.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.availability import observed_availability_nines
 from ..cluster.deployment import ProtectedFleet
@@ -32,7 +32,7 @@ from ..hardware.host import Host
 from ..hardware.memory import MemorySpec
 from ..hardware.units import GIB
 from ..hypervisor import KvmHypervisor, XenHypervisor
-from ..integrity import CorruptionTally
+from ..integrity import CorruptionTally, IntegrityConfig
 from ..recovery import MicrorebootConfig, RecoveryPolicy
 from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
@@ -40,6 +40,9 @@ from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
 from .injector import FaultInjector
 from .spec import CORRUPTION_KINDS, FaultKind, FaultSchedule
+
+if TYPE_CHECKING:  # the serving overlay is imported only when a trial serves
+    from ..serving import ServingConfig
 
 
 @dataclass(frozen=True)
@@ -100,42 +103,28 @@ class CampaignConfig:
     #: (ReHype-style microreboot, no fallback) or ``"hybrid"``
     #: (microreboot first, failover when it fails or runs overdue).
     recovery_policy: str = "failover"
-    #: Override every fault class's microreboot success probability
-    #: with one value in [0, 1]; ``None`` keeps the per-class defaults
-    #: (crash 0.88, hang 0.94, CVE-corrupted 0.76).
-    recovery_success_prob: Optional[float] = None
-    #: Uniform rebuild-time draw bounds for the microreboot (seconds).
-    recovery_rebuild_min: float = 0.15
-    recovery_rebuild_max: float = 0.45
-    #: Microreboots still in flight after this long are escalated.
-    recovery_deadline: float = 2.0
+    #: The microreboot model the recovery gates draw from (consulted
+    #: only when ``recovery_policy`` is not ``failover``).
+    microreboot: MicrorebootConfig = field(default_factory=MicrorebootConfig)
     #: Serving overlay: open-loop users whose tail latency the trial
-    #: measures post hoc from the bus (0 — the historical default —
+    #: measures post hoc from the bus (None — the historical default —
     #: disables the overlay entirely; it adds no events and no draws,
     #: so disabled-campaign fingerprints and traces are bit-identical).
-    serving_users: int = 0
-    serving_rate_per_user: float = 0.01
-    #: Per-request service demand (seconds at full capacity).
-    serving_demand: float = 0.0005
-    #: Latency SLO; served-over-SLO and lost requests are violations.
-    serving_slo: float = 0.25
-    #: Probability a request is cloned to the replica (hedging).
-    serving_hedge: float = 0.0
+    serving: Optional["ServingConfig"] = None
     #: Checkpoint-integrity overlay: epoch attestation, background
     #: replica scrubbing and the repair escalation ladder on every
-    #: engine (False — the historical default — adds no pipeline
+    #: engine (None — the historical default — adds no pipeline
     #: stages, no processes and no draws, so disabled-campaign
     #: fingerprints and traces are bit-identical).  Required for the
-    #: silent-corruption fault kinds.
-    integrity: bool = False
-    #: Seconds between scrubber audit passes.
-    integrity_scrub_interval: float = 0.25
-    #: Audit bandwidth budget (bytes/second of replica state re-read).
-    integrity_scrub_bandwidth: float = 2.0 * GIB
-    #: Hold failover while the replica is corruption-suspect.
-    integrity_refuse_failover: bool = True
+    #: silent-corruption fault kinds.  ``True``/``False`` are accepted
+    #: as shorthand for ``IntegrityConfig()``/``None``.
+    integrity: Optional[IntegrityConfig] = None
 
     def __post_init__(self):
+        if isinstance(self.integrity, bool):
+            object.__setattr__(
+                self, "integrity", IntegrityConfig() if self.integrity else None
+            )
         if self.trials < 1:
             raise ValueError(f"a campaign needs >= 1 trial: {self.trials}")
         if self.vms < 1:
@@ -144,6 +133,9 @@ class CampaignConfig:
             raise ValueError(f"a VM needs >= 1 vCPU: {self.vm_vcpus}")
         if self.kvm_hosts < 1:
             raise ValueError("a trial needs >= 1 KVM secondary host")
+        for name in ("settle_time", "fault_window", "recovery_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
         if self.detector not in ("heartbeat", "phi"):
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.faults_per_trial < 1:
@@ -166,59 +158,7 @@ class CampaignConfig:
                 f"workload_load must be in [0, 1]: {self.workload_load}"
             )
         RecoveryPolicy.parse(self.recovery_policy)
-        if self.recovery_success_prob is not None and not (
-            0.0 <= self.recovery_success_prob <= 1.0
-        ):
-            raise ValueError(
-                "recovery_success_prob must be in [0, 1]: "
-                f"{self.recovery_success_prob}"
-            )
-        # MicrorebootConfig revalidates, but failing here names the
-        # campaign field the caller actually set.
-        for name in (
-            "recovery_rebuild_min", "recovery_rebuild_max",
-            "recovery_deadline",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
-        if self.recovery_rebuild_min > self.recovery_rebuild_max:
-            raise ValueError(
-                "recovery_rebuild_min must be <= recovery_rebuild_max: "
-                f"{self.recovery_rebuild_min} > {self.recovery_rebuild_max}"
-            )
-        if self.serving_users < 0:
-            raise ValueError(
-                f"serving_users must be >= 0 (0 disables): {self.serving_users}"
-            )
-        if self.serving_rate_per_user <= 0:
-            raise ValueError(
-                "serving_rate_per_user must be positive: "
-                f"{self.serving_rate_per_user}"
-            )
-        if self.serving_demand <= 0:
-            raise ValueError(
-                f"serving_demand must be positive: {self.serving_demand}"
-            )
-        if self.serving_slo <= 0:
-            raise ValueError(
-                f"serving_slo must be positive: {self.serving_slo}"
-            )
-        if not 0.0 <= self.serving_hedge <= 1.0:
-            raise ValueError(
-                f"serving_hedge must be in [0, 1]: {self.serving_hedge}"
-            )
-        if self.integrity_scrub_interval <= 0:
-            raise ValueError(
-                "integrity_scrub_interval must be positive: "
-                f"{self.integrity_scrub_interval}"
-            )
-        if self.integrity_scrub_bandwidth <= 0:
-            raise ValueError(
-                "integrity_scrub_bandwidth must be positive: "
-                f"{self.integrity_scrub_bandwidth}"
-            )
-        if not self.integrity and any(
+        if self.integrity is None and any(
             kind in CORRUPTION_KINDS for kind in self.kinds
         ):
             corrupt = [
@@ -226,55 +166,8 @@ class CampaignConfig:
             ]
             raise ValueError(
                 f"fault kinds {corrupt} need the integrity overlay: "
-                "set integrity=True (CLI: --integrity)"
+                "set integrity=IntegrityConfig() (CLI: --integrity)"
             )
-
-    def microreboot_config(self) -> MicrorebootConfig:
-        """The microreboot model this campaign's engines run."""
-        overrides = dict(
-            rebuild_time_min=self.recovery_rebuild_min,
-            rebuild_time_max=self.recovery_rebuild_max,
-            deadline=self.recovery_deadline,
-        )
-        if self.recovery_success_prob is not None:
-            return MicrorebootConfig.with_uniform_prob(
-                self.recovery_success_prob, **overrides
-            )
-        return MicrorebootConfig(**overrides)
-
-    def serving_config(self):
-        """The serving overlay this campaign measures; None = disabled.
-
-        Imported lazily so a campaign with the overlay off never pulls
-        in :mod:`repro.serving` at all.
-        """
-        if not self.serving_users:
-            return None
-        from ..serving import ServingConfig
-
-        return ServingConfig(
-            users=self.serving_users,
-            rate_per_user=self.serving_rate_per_user,
-            demand=self.serving_demand,
-            slo=self.serving_slo,
-            hedge=self.serving_hedge,
-        )
-
-    def integrity_config(self):
-        """The integrity overlay this campaign arms; None = disabled.
-
-        Imported lazily so a campaign with the overlay off never pulls
-        in :mod:`repro.integrity` at all.
-        """
-        if not self.integrity:
-            return None
-        from ..integrity import IntegrityConfig
-
-        return IntegrityConfig(
-            scrub_interval=self.integrity_scrub_interval,
-            scrub_bandwidth=self.integrity_scrub_bandwidth,
-            refuse_failover=self.integrity_refuse_failover,
-        )
 
 
 @dataclass
@@ -507,13 +400,12 @@ class CampaignResult:
         mergeable kind), so campaign percentiles are computed over the
         pooled served-latency distribution, not averaged per trial.
         """
-        serving = self.config.serving_config()
-        if serving is None:
+        if self.config.serving is None:
             return None
         from ..serving import ServingReport
         from ..telemetry import LatencyHistogram
 
-        report = ServingReport(config=serving)
+        report = ServingReport(config=self.config.serving)
         for trial in self.trials:
             report.requests += trial.serving_requests
             report.served += trial.serving_served
@@ -555,19 +447,8 @@ class CampaignResult:
         if serving is not None:
             # Present only when the overlay is on: a default campaign's
             # fingerprint stays byte-identical to the pre-serving era.
-            # A zero-request window's rates are NaN -> string-encoded,
-            # same convention as the zero-failover MTTR above.
-            payload.update({
-                "serving_requests": serving.requests,
-                "serving_lost": serving.lost,
-                "serving_violations": serving.violations,
-                "serving_rescued": serving.rescued,
-                "serving_p50": _finite(serving.p50),
-                "serving_p99": _finite(serving.p99),
-                "serving_p999": _finite(serving.p999),
-                "serving_violation_rate": _finite(serving.violation_rate),
-            })
-        if self.config.integrity:
+            payload.update(serving.fingerprint())
+        if self.config.integrity is not None:
             # Present only when the overlay is armed, same contract as
             # the serving block above.
             payload.update({
@@ -619,7 +500,7 @@ class CampaignResult:
                 for row in serving.summary_rows()
             ]
         integrity_rows = []
-        if self.config.integrity:
+        if self.config.integrity is not None:
             integrity_rows = [
                 {"metric": "corruptions (injected/detected/repaired)",
                  "value": f"{self.total_corruptions}/"
@@ -700,10 +581,12 @@ class ChaosCampaign:
             )
         from ..experiments.presets import chaos_sweep
 
-        overrides = asdict(self.config)
-        overrides.pop("trials")
-        overrides.pop("seed")
-        overrides["kinds"] = self.config.kinds
+        # Shallow on purpose: asdict would flatten the overlay configs.
+        overrides = {
+            f.name: getattr(self.config, f.name)
+            for f in fields(self.config)
+            if f.name not in ("trials", "seed")
+        }
         specs = chaos_sweep(
             trials=self.config.trials, seed=self.config.seed, **overrides
         )
@@ -762,7 +645,7 @@ class ChaosCampaign:
             target_degradation=config.target_degradation,
             t_max=config.t_max,
             transport=TransportConfig() if config.reliable_transport else None,
-            integrity=config.integrity_config(),
+            integrity=config.integrity,
         )
         fleet.start_protection(wait_ready=True)
 
@@ -775,7 +658,7 @@ class ChaosCampaign:
                 detector=config.detector,
                 degraded_miss_threshold=config.degraded_miss_threshold,
                 policy=config.recovery_policy,
-                microreboot=config.microreboot_config(),
+                microreboot=config.microreboot,
                 spares=fleet_hypervisors,
                 target_degradation=config.target_degradation,
                 t_max=config.t_max,
@@ -823,7 +706,7 @@ class ChaosCampaign:
         # engines are still live, so spans are attributed by engine
         # name) and draws only from its own derived-seed numpy streams
         # — nothing below perturbs the simulation.
-        if config.serving_users:
+        if config.serving is not None:
             self._serve_overlay(trial, sim, recorder, stacks, trial_start)
         # Close the trial out cleanly so session spans end inside this
         # trial's bus (and a --trace file), not at garbage collection.
@@ -851,7 +734,6 @@ class ChaosCampaign:
         """Measure user-visible latency for this trial, post hoc."""
         from ..serving import overlay_report
 
-        serving = self.config.serving_config()
         horizon = sim.now
         engine_names = {}
         extra: Dict[str, list] = {}
@@ -871,7 +753,7 @@ class ChaosCampaign:
             vms=list(stacks),
             start=trial_start,
             horizon=horizon,
-            config=serving,
+            config=self.config.serving,
             seed=derive_seed(trial.seed, "serving"),
             engine_names=engine_names,
             extra_blackouts=extra,
@@ -1001,7 +883,7 @@ class ChaosCampaign:
         trial.repair_reseeds = tally.repaired_by["full-reseed"]
         trial.integrity_alarms = tally.alarms
         trial.latent_windows = tally.latent_windows
-        if self.config.integrity:
+        if self.config.integrity is not None:
             trial.scrub_audits = int(sum(
                 r.value for r in recorder.counters("integrity.scrub.audit")
             ))

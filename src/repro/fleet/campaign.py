@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..analysis.availability import observed_availability_nines
 from ..faults.spec import (
@@ -33,6 +35,9 @@ from ..telemetry import MetricsAggregator
 from .faults import FleetFaultInjector
 from .orchestrator import FleetOrchestrator
 from .spec import FleetSpec
+
+if TYPE_CHECKING:  # the serving overlay is imported only when a fleet serves
+    from ..serving import ServingConfig
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,10 @@ class FleetCampaignConfig:
     outage_duration: Tuple[float, float] = (5.0, 15.0)
     #: Serving overlay: open-loop users split across the fleet's VMs,
     #: measured post hoc from per-shard telemetry and merged through
-    #: the shard-mergeable histogram at the fleet clock (0 = off, the
-    #: default — fleet fingerprints are unchanged and no per-shard
+    #: the shard-mergeable histogram at the fleet clock (None = off,
+    #: the default — fleet fingerprints are unchanged and no per-shard
     #: recorders are even attached).
-    serving_users: int = 0
-    serving_rate_per_user: float = 0.01
-    serving_demand: float = 0.0005
-    serving_slo: float = 0.25
-    serving_hedge: float = 0.0
+    serving: Optional["ServingConfig"] = None
 
     def __post_init__(self):
         if self.faults < 1:
@@ -68,6 +69,12 @@ class FleetCampaignConfig:
         for name in ("settle_time", "fault_window", "recovery_time"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        low, high = self.outage_duration
+        if not 0 < low <= high < math.inf:
+            raise ValueError(
+                "outage_duration must satisfy 0 < low <= high < inf: "
+                f"{self.outage_duration}"
+            )
         zone_kinds = set(self.kinds) & ZONE_KINDS
         if zone_kinds == ZONE_KINDS:
             raise ValueError(
@@ -88,46 +95,11 @@ class FleetCampaignConfig:
                 f"not {sorted(k.value for k in unknown)}"
             )
         corruption = set(self.kinds) & CORRUPTION_KINDS
-        if corruption and not self.spec.integrity:
+        if corruption and self.spec.integrity is None:
             raise ValueError(
                 f"fault kinds {sorted(k.value for k in corruption)} need "
-                "the integrity overlay: set FleetSpec.integrity=True"
+                "the integrity overlay: set FleetSpec.integrity"
             )
-        if self.serving_users < 0:
-            raise ValueError(
-                f"serving_users must be >= 0 (0 disables): {self.serving_users}"
-            )
-        if self.serving_rate_per_user <= 0:
-            raise ValueError(
-                "serving_rate_per_user must be positive: "
-                f"{self.serving_rate_per_user}"
-            )
-        if self.serving_demand <= 0:
-            raise ValueError(
-                f"serving_demand must be positive: {self.serving_demand}"
-            )
-        if self.serving_slo <= 0:
-            raise ValueError(
-                f"serving_slo must be positive: {self.serving_slo}"
-            )
-        if not 0.0 <= self.serving_hedge <= 1.0:
-            raise ValueError(
-                f"serving_hedge must be in [0, 1]: {self.serving_hedge}"
-            )
-
-    def serving_config(self):
-        """The serving overlay this fleet measures; None = disabled."""
-        if not self.serving_users:
-            return None
-        from ..serving import ServingConfig
-
-        return ServingConfig(
-            users=self.serving_users,
-            rate_per_user=self.serving_rate_per_user,
-            demand=self.serving_demand,
-            slo=self.serving_slo,
-            hedge=self.serving_hedge,
-        )
 
 
 @dataclass
@@ -237,21 +209,9 @@ class FleetCampaignResult:
         }
         if self.serving is not None:
             # Opt-in only: a serving-off fleet fingerprint is
-            # byte-identical to the pre-serving era.  NaN rates of a
-            # zero-request window string-encode, like the NaN window.
-            payload.update({
-                "serving_requests": self.serving.requests,
-                "serving_lost": self.serving.lost,
-                "serving_violations": self.serving.violations,
-                "serving_rescued": self.serving.rescued,
-                "serving_p50": _finite(self.serving.p50),
-                "serving_p99": _finite(self.serving.p99),
-                "serving_p999": _finite(self.serving.p999),
-                "serving_violation_rate": _finite(
-                    self.serving.violation_rate
-                ),
-            })
-        if self.config.spec.integrity:
+            # byte-identical to the pre-serving era.
+            payload.update(self.serving.fingerprint())
+        if self.config.spec.integrity is not None:
             # Opt-in only, same contract as the serving block.
             payload.update({
                 "corruptions": self.corruptions_injected,
@@ -285,7 +245,7 @@ class FleetCampaignResult:
         if self.serving is not None:
             for name, value in self.serving.to_metrics().items():
                 payload[f"serving_{name}"] = value
-        if self.config.spec.integrity:
+        if self.config.spec.integrity is not None:
             payload["corruptions_detected"] = float(self.corruptions_detected)
             payload["scrub_audits"] = float(self.scrub_audits)
         return payload
@@ -298,7 +258,7 @@ class FleetCampaignResult:
                 for row in self.serving.summary_rows()
             ]
         integrity_rows = []
-        if self.config.spec.integrity:
+        if self.config.spec.integrity is not None:
             integrity_rows = [
                 {"metric": "corruptions (injected/detected/repaired)",
                  "value": f"{self.corruptions_injected}/"
@@ -366,7 +326,7 @@ class FleetCampaign:
         orchestrator.sharded.subscribe(aggregator)
         for subscriber in self.subscribers:
             orchestrator.sharded.subscribe(subscriber)
-        if config.serving_users:
+        if config.serving is not None:
             # Recorders go on before seeding so replica windows see the
             # seeding spans.  They are passive subscribers: attaching
             # them changes no draw and no event, only host memory.
@@ -391,7 +351,7 @@ class FleetCampaign:
         injector.schedule(schedule)
         orchestrator.run_for(config.fault_window + config.recovery_time)
         result = self._harvest(orchestrator, injector, aggregator, start)
-        if config.serving_users:
+        if config.serving is not None:
             result.serving = self._serve_overlay(orchestrator, serve_start)
         orchestrator.halt("campaign over")
         return result
@@ -411,7 +371,7 @@ class FleetCampaign:
         from ..simkernel.random import derive_seed
 
         config = self.config
-        serving = config.serving_config()
+        serving = config.serving
         seed = derive_seed(config.spec.seed, "fleet-serving")
         report = ServingReport(config=serving)
         share = serving.arrivals().scaled(1.0 / max(1, config.spec.vms))

@@ -231,7 +231,7 @@ class FleetOrchestrator:
                 t_max=self.spec.t_max,
                 checkpoint_threads=self.spec.checkpoint_threads,
                 name=f"here:{placement.vm_name}",
-                integrity=self.spec.integrity_config(),
+                integrity=self.spec.integrity,
             )
 
     # -- lifecycle -----------------------------------------------------------
@@ -523,7 +523,7 @@ class FleetOrchestrator:
             t_max=self.spec.t_max * self.period_scale,
             checkpoint_threads=self.spec.checkpoint_threads,
             name=f"reseed:{request.vm_name}",
-            integrity=self.spec.integrity_config(),
+            integrity=self.spec.integrity,
         )
         engine.start(request.vm_name)
         shard.reseed_engines[request.vm_name] = engine

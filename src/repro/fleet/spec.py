@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..hardware.units import GIB, MIB
+from ..integrity.config import IntegrityConfig
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,14 @@ class FleetSpec:
     #: (0.999 = "three nines"); it widens re-protection admission and
     #: tightens checkpoint intervals when the fleet falls below it.
     availability_slo: float = 0.999
-    # -- integrity knobs -----------------------------------------------------
-    #: Arm the checkpoint-integrity overlay (epoch attestation,
-    #: background replica scrubbing, repair escalation) on every
-    #: engine, including re-protection re-seeds.  False — the
-    #: historical default — adds no stages and no draws, so existing
-    #: fleet fingerprints are unchanged.
-    integrity: bool = False
-    integrity_scrub_interval: float = 0.25
-    integrity_scrub_bandwidth: float = 2.0 * GIB
-    integrity_refuse_failover: bool = True
+    # -- integrity overlay ---------------------------------------------------
+    #: The checkpoint-integrity overlay (epoch attestation, background
+    #: replica scrubbing, repair escalation) every engine runs,
+    #: including re-protection re-seeds.  None — the historical
+    #: default — adds no stages and no draws, so existing fleet
+    #: fingerprints are unchanged.  ``True``/``False`` are accepted as
+    #: shorthand for ``IntegrityConfig()``/``None``.
+    integrity: Optional[IntegrityConfig] = None
     # -- recovery knobs ------------------------------------------------------
     #: Fleet-wide answer to a dead primary hypervisor: ``"failover"``
     #: (the historical default), ``"recover-in-place"`` or ``"hybrid"``
@@ -76,6 +75,10 @@ class FleetSpec:
     zone_recovery_policies: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.integrity, bool):
+            object.__setattr__(
+                self, "integrity", IntegrityConfig() if self.integrity else None
+            )
         for name in ("zones", "racks_per_zone", "hosts_per_rack", "vms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
@@ -93,16 +96,6 @@ class FleetSpec:
         if not 0.0 < self.availability_slo < 1.0:
             raise ValueError(
                 f"availability_slo must be in (0, 1): {self.availability_slo}"
-            )
-        if self.integrity_scrub_interval <= 0:
-            raise ValueError(
-                "integrity_scrub_interval must be positive: "
-                f"{self.integrity_scrub_interval}"
-            )
-        if self.integrity_scrub_bandwidth <= 0:
-            raise ValueError(
-                "integrity_scrub_bandwidth must be positive: "
-                f"{self.integrity_scrub_bandwidth}"
             )
         if self.grid_xen_hosts == 0:
             raise ValueError(
@@ -168,19 +161,3 @@ class FleetSpec:
             if name == zone:
                 return policy
         return self.recovery_policy
-
-    def integrity_config(self):
-        """The integrity overlay every engine runs; None = disabled.
-
-        Imported lazily so a fleet with the overlay off never pulls in
-        :mod:`repro.integrity` at all.
-        """
-        if not self.integrity:
-            return None
-        from ..integrity import IntegrityConfig
-
-        return IntegrityConfig(
-            scrub_interval=self.integrity_scrub_interval,
-            scrub_bandwidth=self.integrity_scrub_bandwidth,
-            refuse_failover=self.integrity_refuse_failover,
-        )

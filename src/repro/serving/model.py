@@ -148,6 +148,25 @@ class ServingReport:
             "violation_rate": self.violation_rate,
         }
 
+    def fingerprint(self) -> Dict[str, object]:
+        """The ``serving_*`` block chaos and fleet campaign fingerprints
+        carry.  A zero-request window's NaN rates are string-encoded
+        (NaN != NaN would break the same-seed contract)."""
+
+        def _finite(value: float):
+            return round(value, 9) if math.isfinite(value) else str(value)
+
+        return {
+            "serving_requests": self.requests,
+            "serving_lost": self.lost,
+            "serving_violations": self.violations,
+            "serving_rescued": self.rescued,
+            "serving_p50": _finite(self.p50),
+            "serving_p99": _finite(self.p99),
+            "serving_p999": _finite(self.p999),
+            "serving_violation_rate": _finite(self.violation_rate),
+        }
+
     def summary_rows(self) -> List[dict]:
         return [
             {"metric": "requests", "value": self.requests},

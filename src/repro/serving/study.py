@@ -65,8 +65,11 @@ class StudyConfig:
     remus_period: float = 0.05
     here_t_max: float = 0.2
     colo_interval: float = 0.02
-    #: Microreboot success probability for ``hybrid-recovery``.
-    recovery_success_prob: float = 1.0
+    #: The microreboot model of ``hybrid-recovery`` (every fault class
+    #: recovers by default, so the strategy shows the stall, not luck).
+    microreboot: MicrorebootConfig = field(
+        default_factory=lambda: MicrorebootConfig.with_uniform_prob(1.0)
+    )
     vm_memory_bytes: int = 1 << 30
     vcpus: int = 2
 
@@ -81,11 +84,6 @@ class StudyConfig:
             raise ValueError(
                 "need 0 < restart_min <= restart_max: "
                 f"{self.restart_min}, {self.restart_max}"
-            )
-        if not 0.0 <= self.recovery_success_prob <= 1.0:
-            raise ValueError(
-                "recovery_success_prob must be in [0, 1]: "
-                f"{self.recovery_success_prob}"
             )
 
 
@@ -182,9 +180,7 @@ class ServingStudy:
             deployment = ProtectedDeployment(
                 spec,
                 policy=RecoveryPolicy.HYBRID,
-                microreboot=MicrorebootConfig.with_uniform_prob(
-                    config.recovery_success_prob
-                ),
+                microreboot=config.microreboot,
             )
         else:
             deployment = ProtectedDeployment(spec)

@@ -62,6 +62,7 @@ class TestBlackoutComparison:
 class TestPolicyComparisonRows:
     def test_rows_from_same_seed_campaigns(self):
         from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
+        from repro.recovery import MicrorebootConfig
 
         def run(policy):
             return ChaosCampaign(CampaignConfig(
@@ -69,7 +70,7 @@ class TestPolicyComparisonRows:
                 settle_time=2.0, fault_window=2.0, recovery_time=20.0,
                 kinds=(FaultKind.HYPERVISOR_CRASH,),
                 recovery_policy=policy,
-                recovery_success_prob=1.0,
+                microreboot=MicrorebootConfig.with_uniform_prob(1.0),
             )).run()
 
         rows = policy_comparison_rows({

@@ -35,6 +35,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 fast_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["settle_time", "fault_window", "recovery_time"]
+    )
+    def test_negative_times_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match=name):
+            fast_config(**{name: -1.0})
+
 
 class TestDeterminism:
     def test_same_seed_identical_fingerprint(self):
@@ -136,6 +143,35 @@ class TestCampaignThroughSweepRunner:
         assert [t.seed for t in parallel.trials] == [
             t.seed for t in serial.trials
         ]
+
+    def test_serial_equals_parallel_with_every_overlay(self):
+        # Hybrid microreboots, hedged serving and the integrity overlay
+        # all cross the worker boundary as JSON dicts in the spec.
+        from repro.experiments import SweepRunner
+        from repro.integrity import IntegrityConfig
+        from repro.recovery import MicrorebootConfig
+        from repro.serving import ServingConfig
+
+        config = fast_config(
+            trials=2,
+            vms=2,
+            faults_per_trial=2,
+            kinds=(FaultKind.HYPERVISOR_CRASH, FaultKind.REPLICA_BITROT),
+            recovery_policy="hybrid",
+            microreboot=MicrorebootConfig.with_uniform_prob(0.5),
+            serving=ServingConfig(users=5_000, rate_per_user=0.02, hedge=0.5),
+            integrity=IntegrityConfig(),
+        )
+        serial = ChaosCampaign(config).run()
+        parallel = ChaosCampaign(config, runner=SweepRunner(jobs=2)).run()
+        assert parallel.fingerprint() == serial.fingerprint()
+        assert [t.to_dict() for t in parallel.trials] == [
+            t.to_dict() for t in serial.trials
+        ]
+        # Every overlay actually ran.
+        assert serial.total_recovery_attempts > 0
+        assert serial.fingerprint()["serving_requests"] > 0
+        assert serial.total_corruptions > 0
 
     def test_runner_path_uses_the_cache(self, tmp_path):
         from repro.experiments import ResultStore, SweepRunner

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
+from repro.recovery import MicrorebootConfig
 
 
 def fast_config(**overrides):
@@ -27,38 +28,54 @@ class TestConfigValidation:
         "kwargs",
         [
             dict(recovery_policy="reboot-harder"),
-            dict(recovery_success_prob=1.5),
-            dict(recovery_success_prob=-0.1),
-            dict(recovery_rebuild_min=0.0),
-            dict(recovery_rebuild_max=float("inf")),
-            dict(recovery_rebuild_min=0.9, recovery_rebuild_max=0.3),
-            dict(recovery_deadline=-1.0),
+            dict(uniform_prob=1.5),
+            dict(uniform_prob=-0.1),
+            dict(microreboot=dict(rebuild_time_min=0.0)),
+            dict(microreboot=dict(rebuild_time_max=float("inf"))),
+            dict(microreboot=dict(rebuild_time_min=0.9, rebuild_time_max=0.3)),
+            dict(microreboot=dict(deadline=-1.0)),
         ],
     )
     def test_bad_recovery_knobs_rejected(self, kwargs):
+        # A bad MicrorebootConfig raises as it is built, so the model is
+        # built from its plain kwargs inside pytest.raises.
+        kwargs = dict(kwargs)
         with pytest.raises(ValueError):
+            if "uniform_prob" in kwargs:
+                kwargs["microreboot"] = MicrorebootConfig.with_uniform_prob(
+                    kwargs.pop("uniform_prob")
+                )
+            elif "microreboot" in kwargs:
+                kwargs["microreboot"] = MicrorebootConfig(
+                    **kwargs["microreboot"]
+                )
             fast_config(**kwargs)
 
     def test_microreboot_config_reflects_overrides(self):
-        config = fast_config(
-            recovery_policy="hybrid",
-            recovery_success_prob=0.5,
-            recovery_rebuild_min=0.2,
-            recovery_rebuild_max=0.3,
-            recovery_deadline=4.0,
-        ).microreboot_config()
-        assert config.success_prob("crash") == 0.5
-        assert config.success_prob("cve") == 0.5
-        assert config.rebuild_time_min == 0.2
-        assert config.rebuild_time_max == 0.3
-        assert config.deadline == 4.0
+        from dataclasses import asdict
+
+        from repro.experiments.presets import chaos_sweep
+
+        microreboot = MicrorebootConfig.with_uniform_prob(
+            0.5, rebuild_time_min=0.2, rebuild_time_max=0.3, deadline=4.0
+        )
+        config = fast_config(recovery_policy="hybrid", microreboot=microreboot)
+        assert config.microreboot.success_prob("crash") == 0.5
+        assert config.microreboot.success_prob("cve") == 0.5
+        assert config.microreboot.deadline == 4.0
+        # A sweep spec carries the model as a plain JSON dict.
+        (spec,) = chaos_sweep(
+            trials=1, recovery_policy="hybrid", microreboot=microreboot
+        )
+        assert spec.params["microreboot"] == asdict(microreboot)
 
 
 class TestHybridCampaign:
     def test_hybrid_recovers_in_place(self):
         result = ChaosCampaign(
             fast_config(
-                recovery_policy="hybrid", recovery_success_prob=1.0
+                recovery_policy="hybrid",
+                microreboot=MicrorebootConfig.with_uniform_prob(1.0),
             )
         ).run()
         assert result.total_recovery_attempts == 2
@@ -75,7 +92,8 @@ class TestHybridCampaign:
     def test_hybrid_falls_back_to_failover(self):
         result = ChaosCampaign(
             fast_config(
-                recovery_policy="hybrid", recovery_success_prob=0.0
+                recovery_policy="hybrid",
+                microreboot=MicrorebootConfig.with_uniform_prob(0.0),
             )
         ).run()
         assert result.total_recovery_attempts == 2
@@ -88,14 +106,17 @@ class TestHybridCampaign:
         result = ChaosCampaign(
             fast_config(
                 recovery_policy="recover-in-place",
-                recovery_success_prob=0.0,
+                microreboot=MicrorebootConfig.with_uniform_prob(0.0),
             )
         ).run()
         assert result.total_failovers == 0
         assert result.total_dropped_vms == 2
 
     def test_fingerprint_deterministic_and_carries_recovery_keys(self):
-        config = dict(recovery_policy="hybrid", recovery_success_prob=0.7)
+        config = dict(
+            recovery_policy="hybrid",
+            microreboot=MicrorebootConfig.with_uniform_prob(0.7),
+        )
         first = ChaosCampaign(fast_config(**config)).run()
         second = ChaosCampaign(fast_config(**config)).run()
         assert first.fingerprint() == second.fingerprint()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import CampaignConfig, ChaosCampaign
+from repro.serving import ServingConfig
 
 
 def fast_config(**overrides):
@@ -19,33 +20,31 @@ def fast_config(**overrides):
     return CampaignConfig(**defaults)
 
 
+SERVING = dict(users=5_000, rate_per_user=0.02, demand=0.001, slo=0.1, hedge=0.5)
+
+
 def serving_config(**overrides):
-    defaults = dict(
-        serving_users=5_000,
-        serving_rate_per_user=0.02,
-        serving_demand=0.001,
-        serving_slo=0.1,
-        serving_hedge=0.5,
-    )
-    defaults.update(overrides)
-    return fast_config(**defaults)
+    return fast_config(serving=ServingConfig(**SERVING), **overrides)
 
 
 class TestConfigValidation:
     def test_bad_serving_knobs_rejected(self):
         for kwargs in (
-            dict(serving_users=-1),
-            dict(serving_rate_per_user=0.0),
-            dict(serving_demand=0.0),
-            dict(serving_slo=0.0),
-            dict(serving_hedge=1.5),
+            dict(users=-1),
+            dict(rate_per_user=0.0),
+            dict(demand=0.0),
+            dict(slo=0.0),
+            dict(hedge=1.5),
         ):
             with pytest.raises(ValueError):
-                serving_config(**kwargs)
+                fast_config(serving=ServingConfig(**{**SERVING, **kwargs}))
 
-    def test_zero_users_disables_the_overlay(self):
-        assert fast_config().serving_config() is None
-        assert serving_config().serving_config() is not None
+    def test_none_disables_the_overlay(self):
+        assert fast_config().serving is None
+        assert serving_config().serving == ServingConfig(**SERVING)
+        # Zero users is not a second spelling of "off".
+        with pytest.raises(ValueError):
+            ServingConfig(users=0)
 
 
 class TestOptInContract:

@@ -41,6 +41,14 @@ class TestConfigValidation:
                 kinds=(FaultKind.ZONE_OUTAGE, FaultKind.RACK_OUTAGE)
             )
 
+    @pytest.mark.parametrize(
+        "outage",
+        [(10.0, 5.0), (0.0, 5.0), (-1.0, 2.0), (1.0, float("inf"))],
+    )
+    def test_outage_duration_must_be_finite_and_ordered(self, outage):
+        with pytest.raises(ValueError, match="outage_duration"):
+            config(outage_duration=outage)
+
     def test_pair_scale_kinds_rejected(self):
         with pytest.raises(ValueError, match="domain/host power"):
             config(kinds=(FaultKind.LINK_PARTITION,))

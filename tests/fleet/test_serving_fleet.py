@@ -4,6 +4,7 @@ import pytest
 
 from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 from repro.hardware.units import MIB
+from repro.serving import ServingConfig
 
 
 def config(**kwargs):
@@ -29,29 +30,24 @@ def config(**kwargs):
     return FleetCampaignConfig(**defaults)
 
 
+SERVING = dict(users=6_000, rate_per_user=0.02, demand=0.001, slo=0.1, hedge=0.5)
+
+
 def serving_config(**kwargs):
-    defaults = dict(
-        serving_users=6_000,
-        serving_rate_per_user=0.02,
-        serving_demand=0.001,
-        serving_slo=0.1,
-        serving_hedge=0.5,
-    )
-    defaults.update(kwargs)
-    return config(**defaults)
+    return config(serving=ServingConfig(**SERVING), **kwargs)
 
 
 class TestConfigValidation:
     def test_bad_serving_knobs_rejected(self):
         for kwargs in (
-            dict(serving_users=-1),
-            dict(serving_rate_per_user=0.0),
-            dict(serving_demand=-1.0),
-            dict(serving_slo=0.0),
-            dict(serving_hedge=2.0),
+            dict(users=-1),
+            dict(rate_per_user=0.0),
+            dict(demand=-1.0),
+            dict(slo=0.0),
+            dict(hedge=2.0),
         ):
             with pytest.raises(ValueError):
-                serving_config(**kwargs)
+                config(serving=ServingConfig(**{**SERVING, **kwargs}))
 
 
 class TestFleetServingOverlay:
@@ -88,3 +84,27 @@ class TestFleetServingOverlay:
         first = FleetCampaign(serving_config()).run()
         second = FleetCampaign(serving_config()).run()
         assert first.fingerprint() == second.fingerprint()
+
+
+class TestFleetSweep:
+    def test_sweep_trial_matches_the_in_process_campaign(self):
+        from dataclasses import asdict
+
+        from repro.experiments import SweepRunner
+        from repro.experiments.presets import fleet_sweep
+
+        serving = ServingConfig(**SERVING)
+        (spec,) = fleet_sweep(
+            trials=1, seed=3, serving=serving,
+            spec=dict(vm_memory_bytes=128 * MIB),
+        )
+        assert spec.params["serving"] == asdict(serving)
+        (outcome,) = SweepRunner(jobs=1).run([spec]).outcomes
+        assert outcome.ok, outcome.error
+        params = dict(spec.params)
+        direct = FleetCampaign(FleetCampaignConfig(
+            spec=FleetSpec(**params.pop("spec")),
+            **{**params, "serving": serving},
+        )).run()
+        assert direct.serving.requests > 0
+        assert outcome.metrics["fingerprint"] == direct.fingerprint()

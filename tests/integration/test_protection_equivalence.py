@@ -18,6 +18,7 @@ from repro.cluster.deployment import DeploymentSpec, ProtectedDeployment
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
 from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 from repro.hardware.units import GIB, MIB
+from repro.recovery import MicrorebootConfig
 from repro.replication.transport import TransportConfig
 from repro.workloads import MemoryMicrobenchmark
 
@@ -117,7 +118,7 @@ class TestChaosPaths:
         # Two co-located VMs share one microreboot attempt per outage.
         assert chaos(
             recovery_policy="hybrid",
-            recovery_success_prob=0.5,
+            microreboot=MicrorebootConfig.with_uniform_prob(0.5),
             kinds=(FaultKind.HYPERVISOR_CRASH, FaultKind.HYPERVISOR_HANG),
             trials=3,
         ) == (

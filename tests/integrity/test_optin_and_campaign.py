@@ -6,11 +6,15 @@ corruption campaign detects essentially every injected corruption
 before any failover promotes it — the acceptance bar of the overlay.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.cluster import DeploymentSpec, ProtectedDeployment
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
+from repro.fleet import FleetSpec
 from repro.hardware.units import GIB
+from repro.integrity import IntegrityConfig
 
 
 def corruption_config(**overrides):
@@ -66,9 +70,30 @@ class TestOptIn:
 
     def test_scrub_knobs_are_validated(self):
         with pytest.raises(ValueError):
-            corruption_config(integrity_scrub_interval=0.0)
+            corruption_config(integrity=IntegrityConfig(scrub_interval=0.0))
         with pytest.raises(ValueError):
-            corruption_config(integrity_scrub_bandwidth=-1.0)
+            corruption_config(
+                integrity=IntegrityConfig(scrub_bandwidth=-1.0)
+            )
+
+
+class TestBoolShorthand:
+    """``integrity=True``/``False`` mean ``IntegrityConfig()``/``None``."""
+
+    @pytest.mark.parametrize("build", [CampaignConfig, FleetSpec])
+    def test_true_is_the_default_config(self, build):
+        shorthand = build(integrity=True)
+        spelled = build(integrity=IntegrityConfig())
+        assert shorthand.integrity == IntegrityConfig()
+        assert shorthand == spelled
+        assert hash(shorthand) == hash(spelled)
+
+    @pytest.mark.parametrize("build", [CampaignConfig, FleetSpec])
+    def test_false_is_none(self, build):
+        shorthand = build(integrity=False)
+        assert shorthand.integrity is None
+        assert shorthand == build(integrity=None) == build()
+        assert hash(shorthand) == hash(build())
 
 
 class TestCorruptionCampaign:
@@ -119,4 +144,4 @@ class TestSweepPreset:
         specs = corruption_sweep(trials=2, seed=5)
         assert len(specs) == 2
         for spec in specs:
-            assert spec.params["integrity"] is True
+            assert spec.params["integrity"] == asdict(IntegrityConfig())

@@ -347,6 +347,17 @@ class TestArgumentValidation:
             main(["chaos", "--serving-users", "-5"])
         assert "non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["chaos", "sweep"])
+    def test_negative_recovery_time_exits_before_any_trial(
+        self, capsys, command
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--trials", "1", "--recovery-time", "-50"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "positive number" in err
+        assert "Traceback" not in err
+
     def test_chaos_rejects_bad_serving_hedge(self, capsys):
         with pytest.raises(SystemExit):
             main(["chaos", "--serving-hedge", "2"])
