@@ -186,8 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="default",
         help="'lossy' draws link impairments and runs the hardened "
              "transport (reliable chunked commit + degradation ladder); "
-             "'fleet' runs each trial as a fleet-scale zone-outage "
-             "campaign on the sharded kernel; 'recovery' draws "
+             "'fleet' runs each trial as a fleet-scale campaign on "
+             "the sharded kernel (a zone outage unless --kinds says "
+             "otherwise); 'recovery' draws "
              "hypervisor crashes/hangs and answers them with the "
              "hybrid microreboot-then-failover policy; 'corruption' "
              "injects silent state corruption (translator drift, "
@@ -774,15 +775,43 @@ def _integrity_config(args, armed: bool):
     )
 
 
+def _fault_kinds(text: str):
+    """``--kinds``: a comma list of fault kinds."""
+    from .faults import FaultKind
+
+    return tuple(
+        FaultKind(entry.strip()) for entry in text.split(",") if entry.strip()
+    )
+
+
 def _run_fleet_chaos(args) -> int:
     """``repro chaos --preset fleet``: one fleet campaign per trial."""
-    from .faults import FaultKind
     from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
+    from .recovery import MicrorebootConfig
     from .simkernel.random import derive_seed
 
+    # Chaos flags the fleet has no field for are refused, not dropped.
+    unsupported = [
+        flag
+        for flag, used in (
+            ("--detector phi", args.detector != "heartbeat"),
+            ("--degraded-miss-threshold",
+             args.degraded_miss_threshold is not None),
+            ("--recovery-success-prob/-rebuild-*/-deadline",
+             _microreboot_config(args) != MicrorebootConfig()),
+        )
+        if used
+    ]
+    if unsupported:
+        print(
+            f"error: --preset fleet does not support {', '.join(unsupported)}",
+            file=sys.stderr,
+        )
+        return 2
     rows = []
     dropped = 0
     try:
+        kinds = _fault_kinds(args.kinds or "zone-outage")
         for index in range(args.trials):
             spec = FleetSpec(
                 zones=args.zones,
@@ -792,12 +821,15 @@ def _run_fleet_chaos(args) -> int:
                 vms=args.vms,
                 quantum=args.quantum,
                 seed=derive_seed(args.seed, f"fleet-trial-{index}"),
+                miss_threshold=args.miss_threshold,
+                integrity=_integrity_config(args, armed=args.integrity),
+                recovery_policy=args.recovery_policy or "failover",
             )
             config = FleetCampaignConfig(
                 spec=spec,
                 faults=args.faults,
                 recovery_time=args.recovery_time,
-                kinds=(FaultKind.ZONE_OUTAGE,),
+                kinds=kinds,
                 serving=_serving_config(args),
             )
             result = FleetCampaign(config).run()
@@ -806,6 +838,7 @@ def _run_fleet_chaos(args) -> int:
                 "trial": index,
                 "faults": "; ".join(result.fault_descriptions) or "none",
                 "failovers": result.failovers,
+                "recovered": result.recoveries,
                 "re-protected": result.reprotections,
                 "dropped": result.dropped_vms,
                 "mean unprotected (s)": result.mean_unprotected_window,
@@ -815,6 +848,12 @@ def _run_fleet_chaos(args) -> int:
                 row["serving requests"] = result.serving.requests
                 row["serving lost"] = result.serving.lost
                 row["serving p999 (s)"] = result.serving.p999
+            if spec.integrity is not None:
+                row["corrupt (inj/det/rep)"] = (
+                    f"{result.corruptions_injected}/"
+                    f"{result.corruptions_detected}/"
+                    f"{result.corruptions_repaired}"
+                )
             rows.append(row)
     except (ValueError, RuntimeError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -829,7 +868,7 @@ def _run_fleet_chaos(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .faults import CampaignConfig, ChaosCampaign, FaultKind
+    from .faults import CampaignConfig, ChaosCampaign
 
     if args.preset == "fleet":
         return _run_fleet_chaos(args)
@@ -855,11 +894,7 @@ def _cmd_chaos(args) -> int:
     if degraded_misses is None and lossy:
         degraded_misses = max(12, args.miss_threshold)
     try:
-        kinds = tuple(
-            FaultKind(entry.strip())
-            for entry in (args.kinds or default_kinds).split(",")
-            if entry.strip()
-        )
+        kinds = _fault_kinds(args.kinds or default_kinds)
         config = CampaignConfig(
             trials=args.trials,
             seed=args.seed,

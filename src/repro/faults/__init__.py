@@ -16,7 +16,7 @@ chaos`` CLI subcommand).
 from .campaign import CampaignConfig, CampaignResult, ChaosCampaign, TrialResult
 from .detection import PhiAccrualDetector, phi_from_normal
 from .injector import FaultInjector
-from .reprotect import ReprotectionController, ReprotectionReport
+from .reprotect import ReprotectionController
 from .spec import (
     CORRUPTION_KINDS,
     FaultKind,
@@ -44,7 +44,6 @@ __all__ = [
     "LINK_KINDS",
     "PhiAccrualDetector",
     "ReprotectionController",
-    "ReprotectionReport",
     "TRANSIENT_KINDS",
     "TrialResult",
     "VM_KINDS",

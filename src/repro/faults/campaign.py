@@ -7,10 +7,13 @@ host), protects every VM through the planner +
 :class:`~repro.cluster.protection.ProtectionStack` per engine, draws a
 randomized :class:`~repro.faults.spec.FaultSchedule` from the trial's
 seeded random stream, and lets detection -> failover -> re-protection
-play out.  Metrics are aggregated *from the telemetry bus* (a
-:class:`~repro.telemetry.recorder.Recorder` per trial), so exactly the
-numbers a trace file carries: MTTR, unprotected windows, dropped VMs
-and availability nines.
+play out.  Incident metrics — MTTR, unprotected windows, dropped VMs
+and availability nines — come from the trial's
+:class:`~repro.cluster.incidents.IncidentLedger`, built from the
+reports each stack holds, with darkness priced by the chaos rule
+(:func:`~repro.cluster.incidents.dark_from_last_fault`).  The trial's
+:class:`~repro.telemetry.recorder.Recorder` supplies the fault times
+and the transport, integrity and checkpoint counters.
 
 Determinism: every random draw comes from the trial simulation's named
 streams, themselves derived from the campaign seed — the same seed
@@ -26,6 +29,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.availability import observed_availability_nines
 from ..cluster.deployment import ProtectedFleet
+from ..cluster.incidents import (
+    Incident,
+    IncidentLedger,
+    Outcome,
+    dark_from_last_fault,
+    downtime,
+    unpriced_blackouts,
+)
 from ..cluster.planner import PlacementRequest, ReplicationPlanner
 from ..cluster.protection import ProtectionStack
 from ..hardware.host import Host
@@ -197,7 +208,8 @@ class TrialResult:
     #: Per-VM blackout of an in-place recovery: detection -> guests
     #: running again on the microrebooted hypervisor.
     recovery_blackouts: Dict[str, float] = field(default_factory=dict)
-    #: VMs that ended the trial with neither primary nor replica alive.
+    #: VMs dark at the end: no replica took over and the primary is
+    #: down (DESIGN §22; the fleet's ``dropped_vms`` means unprotected).
     dropped_vms: int = 0
     observed_seconds: float = 0.0
     downtime_seconds: float = 0.0
@@ -563,6 +575,8 @@ class ChaosCampaign:
         #: seeds are derived identically on both paths, so the same
         #: seed yields the same :meth:`CampaignResult.fingerprint`.
         self.runner = runner
+        #: The last in-process trial's incident ledger (for inspection).
+        self.ledger: Optional[IncidentLedger] = None
 
     def run(self) -> CampaignResult:
         if self.runner is not None:
@@ -698,8 +712,15 @@ class ChaosCampaign:
             + config.fault_window
             + config.recovery_time
         )
+        self.ledger = IncidentLedger(
+            [Incident.of(vm_name, stack) for vm_name, stack in stacks.items()],
+            end=sim.now,
+            fault_times=[
+                record.time for record in recorder.counters("fault.injected")
+            ],
+        )
         trial = self._harvest(
-            index, trial_seed, sim, recorder, stacks, trial_start
+            index, trial_seed, recorder, stacks, trial_start
         )
         # The serving overlay replays a seeded arrival population
         # against the telemetry above.  It runs before close-out (the
@@ -734,29 +755,21 @@ class ChaosCampaign:
         """Measure user-visible latency for this trial, post hoc."""
         from ..serving import overlay_report
 
-        horizon = sim.now
-        engine_names = {}
-        extra: Dict[str, list] = {}
-        for vm_name, stack in stacks.items():
-            engine_names[vm_name] = (stack.engine.name,)
-            if stack.failover.report is not None:
-                continue  # its failover span prices the darkness
-            if stack.primary_alive:
-                continue
-            # Dark with no failover span at all (e.g. an undetected
-            # partition-then-crash): dead from the last fault onward.
-            earlier = [t for t in trial.fault_times if t <= horizon]
-            dark_from = max(earlier) if earlier else trial_start
-            extra[vm_name] = [(dark_from, horizon)]
+        ledger = self.ledger
         report = overlay_report(
             recorder,
             vms=list(stacks),
             start=trial_start,
-            horizon=horizon,
+            horizon=ledger.end,
             config=self.config.serving,
             seed=derive_seed(trial.seed, "serving"),
-            engine_names=engine_names,
-            extra_blackouts=extra,
+            engine_names={
+                vm_name: (stack.engine.name,)
+                for vm_name, stack in stacks.items()
+            },
+            extra_blackouts=unpriced_blackouts(
+                ledger, dark_from_last_fault(ledger)
+            ),
             bus=sim.telemetry,
         )
         trial.serving_requests = report.requests
@@ -781,87 +794,31 @@ class ChaosCampaign:
             IdleWorkload(sim, vm).start()
 
     def _harvest(
-        self, index, trial_seed, sim, recorder, stacks, trial_start
+        self, index, trial_seed, recorder, stacks, trial_start
     ) -> TrialResult:
-        """Build the TrialResult from the telemetry the bus recorded."""
+        """Build the TrialResult from the ledger and the bus counters."""
+        ledger = self.ledger
         trial = TrialResult(index=index, seed=trial_seed)
-        trial.observed_seconds = (sim.now - trial_start) * len(stacks)
-
-        fault_counters = recorder.counters("fault.injected")
-        trial.fault_times = [record.time for record in fault_counters]
+        trial.observed_seconds = (ledger.end - trial_start) * len(stacks)
+        trial.fault_times = list(ledger.fault_times)
         trial.faults = [
             f"{record.attrs.get('kind')} on {record.attrs.get('target')}"
-            for record in fault_counters
+            for record in recorder.counters("fault.injected")
         ]
-
-        def fault_before(when: float) -> Optional[float]:
-            earlier = [t for t in trial.fault_times if t <= when]
-            return max(earlier) if earlier else None
-
-        for span in recorder.spans("failover"):
-            if span.attrs.get("failed"):
-                trial.failed_failovers += 1
-                continue
-            trial.failovers += 1
-            vm_name = span.attrs.get("vm", "")
-            trial.resumption_times[vm_name] = span.attrs.get(
-                "resumption_time", span.duration
-            )
-            caused_by = fault_before(span.started_at)
-            if caused_by is not None:
-                trial.mttr[vm_name] = span.ended_at - caused_by
-        for span in recorder.spans("reprotection"):
-            if span.attrs.get("failed"):
-                trial.failed_reprotections += 1
-                continue
-            trial.reprotections += 1
-            vm_name = span.attrs.get("vm", "")
-            trial.unprotected_windows[vm_name] = span.attrs.get(
-                "unprotected_window", span.duration
-            )
-        # In-place recovery incidents (one span per VM per detection;
-        # co-located VMs share the microreboot but are priced apart,
-        # exactly like failovers).  A recovered VM was dark from the
-        # fault until its guests resumed on the rebuilt hypervisor; the
-        # escalated/abandoned outcomes are priced by the failover and
-        # dropped-VM paths below.
-        for span in recorder.spans("recovery"):
-            if not span.attrs.get("attempted"):
-                continue
-            trial.recovery_attempts += 1
-            vm_name = span.attrs.get("vm", "")
-            if span.attrs.get("outcome") == "recovered":
-                trial.recoveries += 1
-                blackout = span.attrs.get("blackout", span.duration)
-                trial.recovery_blackouts[vm_name] = blackout
-                caused_by = fault_before(span.started_at)
-                outage = (
-                    span.ended_at - caused_by
-                    if caused_by is not None
-                    else blackout
-                )
-                trial.mttr[vm_name] = outage
-                trial.downtime_seconds += outage
-            else:
-                trial.failed_recoveries += 1
-
-        # Downtime accounting: a failed-over VM was dark from the fault
-        # until replica activation; a dropped VM stays dark to the end.
-        trial_end = sim.now
-        for vm_name, stack in stacks.items():
-            report = stack.failover.report
-            if report is not None and not report.failed:
-                trial.downtime_seconds += trial.mttr.get(
-                    vm_name, report.resumption_time
-                )
-                continue
-            if stack.primary_alive:
-                continue  # fault never touched this VM's primary path
-            trial.dropped_vms += 1
-            failed_at = fault_before(trial_end)
-            trial.downtime_seconds += trial_end - (
-                failed_at if failed_at is not None else trial_end
-            )
+        trial.failovers = ledger.count(Outcome.FAILED_OVER)
+        trial.failed_failovers = ledger.count(Outcome.FAILOVER_FAILED)
+        trial.resumption_times = ledger.resumption_times()
+        trial.mttr = ledger.mttr()
+        trial.reprotections = ledger.reprotected
+        trial.failed_reprotections = ledger.failed_reprotections
+        trial.unprotected_windows = ledger.unprotected_windows()
+        trial.recovery_attempts = ledger.recovery_attempts
+        trial.recoveries = ledger.count(Outcome.RECOVERED)
+        trial.failed_recoveries = ledger.failed_recoveries
+        trial.recovery_blackouts = ledger.recovery_blackouts()
+        dark = dark_from_last_fault(ledger)
+        trial.dropped_vms = sum(1 for iv in dark if iv.resumed_by is None)
+        trial.downtime_seconds = downtime(dark)
         trial.retransmits = int(
             sum(r.value for r in recorder.counters("transport.retransmits"))
             + sum(r.value for r in recorder.counters("transport.commit_resend"))
@@ -872,7 +829,7 @@ class ChaosCampaign:
         # Integrity accounting comes from the monitors' event ledgers
         # plus the bus (audit and refusal counters).
         tally = CorruptionTally().add(
-            (stack.engine for stack in stacks.values()), sim.now
+            (stack.engine for stack in stacks.values()), ledger.end
         )
         trial.corruptions_injected = tally.injected
         trial.corruptions_detected = tally.detected

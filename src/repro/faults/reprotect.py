@@ -16,9 +16,9 @@ span covering detection -> redundancy restored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from ..cluster.incidents import ReprotectionRecord
 from ..cluster.planner import PlacementRequest, ReplicationPlanner
 from ..hardware.host import HostFailure
 from ..hardware.link import LinkPair
@@ -31,28 +31,6 @@ from ..replication.protocol import ProtocolError
 from ..replication.transport import TransportError
 from ..vm.devices import ReplicationUnsupported
 from ..vm.machine import VmLifecycleError
-
-
-@dataclass
-class ReprotectionReport:
-    """Outcome of one re-protection attempt."""
-
-    vm_name: str
-    #: When the original failure was detected (failover report).
-    detected_at: float
-    #: When re-seeding to the spare began.
-    started_at: float
-    #: When the fresh backup reached a consistent state (engine ready).
-    ready_at: float
-    #: The measured metric: detection -> redundancy restored.  The
-    #: service ran 1-redundant (or dead) for this long.
-    unprotected_window: float
-    spare_host: str = ""
-    spare_hypervisor: str = ""
-    failed: bool = False
-    failure_reason: str = ""
-    #: The replication engine protecting the VM again (success only).
-    engine: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 class ReprotectionController:
@@ -81,12 +59,12 @@ class ReprotectionController:
         self.sigma = sigma
         self.checkpoint_threads = checkpoint_threads
         self.link_factory = link_factory or self._default_link
-        self.report: Optional[ReprotectionReport] = None
+        self.report: Optional[ReprotectionRecord] = None
         #: The fresh engine seeded to the spare (success only).
         self.engine = None
         #: The LinkPair carrying the new replication stream.
         self.link: Optional[LinkPair] = None
-        #: Succeeds with the ReprotectionReport when the attempt ends.
+        #: Succeeds with the ReprotectionRecord when the attempt ends.
         self.completed = sim.event(name="reprotection-complete")
         self.process = None
 
@@ -105,10 +83,16 @@ class ReprotectionController:
             name=f"{primary.host.name}->{secondary.host.name}:reprotect",
         )
 
-    def _finish(self, report: ReprotectionReport) -> ReprotectionReport:
+    def _finish(self, report: ReprotectionRecord) -> ReprotectionRecord:
         self.report = report
         self.completed.succeed(report)
         return report
+
+    def _fail(self, span, why: str, **fields) -> ReprotectionRecord:
+        span.end(failed=True, failure_reason=why)
+        return self._finish(
+            ReprotectionRecord(failed=True, failure_reason=why, **fields)
+        )
 
     def _run(self):
         failover_report = yield self.failover.completed
@@ -127,17 +111,9 @@ class ReprotectionController:
                 "failover itself failed — nothing to re-protect: "
                 f"{failover_report.failure_reason}"
             )
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm_name,
-                    detected_at=detected_at,
-                    started_at=self.sim.now,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm_name, detected_at=detected_at,
+                started_at=self.sim.now,
             )
         # The old secondary is the new primary; the promoted replica is
         # already registered in its VM table (created during seeding).
@@ -151,17 +127,9 @@ class ReprotectionController:
         plan = planner.plan([request])
         if not plan.fully_placed:
             why = f"no spare can host a fresh backup: {plan.unplaced[vm.name]}"
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm.name,
-                    detected_at=detected_at,
-                    started_at=started_at,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm.name, detected_at=detected_at,
+                started_at=started_at,
             )
         spare = plan.secondary_of(vm.name)
         self.link = self.link_factory(new_primary, spare)
@@ -195,19 +163,10 @@ class ReprotectionController:
             # (RuntimeError wraps the interrupt cause), or capacity ran
             # out.  Anything else propagates — see below.
             why = f"re-seeding to {spare.host.name} failed: {error}"
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm.name,
-                    detected_at=detected_at,
-                    started_at=started_at,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    spare_host=spare.host.name,
-                    spare_hypervisor=spare.product,
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm.name, detected_at=detected_at,
+                started_at=started_at, spare_host=spare.host.name,
+                spare_hypervisor=spare.product,
             )
         except Exception as error:
             # Not part of the simulation's fault taxonomy — a bug.
@@ -235,7 +194,7 @@ class ReprotectionController:
                 vm=vm.name, spare_host=spare.host.name,
             )
         return self._finish(
-            ReprotectionReport(
+            ReprotectionRecord(
                 vm_name=vm.name,
                 detected_at=detected_at,
                 started_at=started_at,

@@ -24,6 +24,13 @@ from typing import (
 )
 
 from ..analysis.availability import observed_availability_nines
+from ..cluster.incidents import (
+    IncidentLedger,
+    Outcome,
+    dark_from_detection,
+    downtime,
+    unpriced_blackouts,
+)
 from ..faults.spec import (
     CORRUPTION_KINDS,
     FaultKind,
@@ -127,6 +134,8 @@ class FleetCampaignResult:
     failed_recoveries: int = 0
     reprotections: int = 0
     failed_reprotections: int = 0
+    #: VMs left permanently unprotected, some still serving (DESIGN
+    #: §22; the chaos ``dropped_vms`` means dark).
     dropped_vms: int = 0
     unprotected_windows: Dict[str, float] = field(default_factory=dict)
     # -- queue / control -----------------------------------------------------
@@ -314,6 +323,8 @@ class FleetCampaign:
         self.orchestrator: Optional[FleetOrchestrator] = None
         self.injector: Optional[FleetFaultInjector] = None
         self.aggregator: Optional[MetricsAggregator] = None
+        #: The incident ledger :meth:`run` harvested.
+        self.ledger: Optional[IncidentLedger] = None
         #: Per-shard recorders, attached only when serving is enabled.
         self.shard_recorders: Dict[str, "Recorder"] = {}
 
@@ -350,6 +361,7 @@ class FleetCampaign:
         schedule = self._draw_schedule(orchestrator)
         injector.schedule(schedule)
         orchestrator.run_for(config.fault_window + config.recovery_time)
+        self.ledger = orchestrator.ledger()
         result = self._harvest(orchestrator, injector, aggregator, start)
         if config.serving is not None:
             result.serving = self._serve_overlay(orchestrator, serve_start)
@@ -375,34 +387,28 @@ class FleetCampaign:
         seed = derive_seed(config.spec.seed, "fleet-serving")
         report = ServingReport(config=serving)
         share = serving.arrivals().scaled(1.0 / max(1, config.spec.vms))
+        # Only darkness no failover span prices: a VM whose
+        # re-protection was abandoned may well still be serving.
+        extra = unpriced_blackouts(
+            self.ledger, dark_from_detection(self.ledger)
+        )
         for shard_name in sorted(self.shard_recorders):
             shard = orchestrator.shards[shard_name]
             recorder = self.shard_recorders[shard_name]
             horizon = shard.sim.now
             if horizon <= serve_start:
                 continue
-            failure_times = [
-                record.time for record in recorder.counters("host.failure")
-            ]
             for vm in sorted(shard.engines):
                 engines = [shard.engines[vm].name]
                 reseed = shard.reseed_engines.get(vm)
                 if reseed is not None:
                     engines.append(reseed.name)
-                extra = []
-                if vm in orchestrator.dropped:
-                    # Dark with no (successful or failed) failover span
-                    # to price it: from the shard's first host failure.
-                    dark_from = (
-                        min(failure_times) if failure_times else serve_start
-                    )
-                    extra.append((dark_from, horizon))
                 timeline = ServiceTimeline.from_recorder(
                     recorder,
                     vm,
                     serve_start,
                     horizon,
-                    extra_blackouts=extra,
+                    extra_blackouts=extra.get(vm, ()),
                     engine_names=engines,
                 )
                 report.merge(
@@ -480,19 +486,15 @@ class FleetCampaign:
         result.fault_descriptions = [
             record.detail for record in injector.injected
         ]
-        result.failovers = orchestrator.failovers
-        result.failed_failovers = orchestrator.failed_failovers
+        ledger = self.ledger
+        result.failovers = ledger.count(Outcome.FAILED_OVER)
+        result.failed_failovers = ledger.count(Outcome.FAILOVER_FAILED)
         result.secondary_losses = orchestrator.secondary_losses
-        result.recoveries = orchestrator.recoveries
-        result.failed_recoveries = orchestrator.failed_recoveries
-        for record in orchestrator.reprotections:
-            if record.failed:
-                result.failed_reprotections += 1
-            else:
-                result.reprotections += 1
-                result.unprotected_windows[record.vm_name] = (
-                    record.unprotected_window
-                )
+        result.recoveries = ledger.count(Outcome.RECOVERED)
+        result.failed_recoveries = ledger.failed_recoveries
+        result.reprotections = ledger.reprotected
+        result.failed_reprotections = ledger.failed_reprotections
+        result.unprotected_windows = ledger.unprotected_windows()
         result.dropped_vms = len(orchestrator.dropped)
         stats = orchestrator.queue.stats
         result.enqueued = stats.enqueued
@@ -502,37 +504,11 @@ class FleetCampaign:
         result.max_queue_depth = stats.max_depth
         result.final_admission_limit = orchestrator.admission.limit
 
-        # Availability: a failed-over VM was dark for its resumption
-        # time; a VM whose failover failed stays dark to the end.
-        end = orchestrator.now
-        downtime = 0.0
-        for shard in orchestrator.shards.values():
-            # Failovers first, then gates: the summation order is part
-            # of the fingerprint.
-            for stack in shard.stacks.values():
-                report = stack.failover.report
-                if report is None:
-                    continue
-                if report.failed:
-                    downtime += end - report.detected_at
-                elif math.isfinite(report.resumption_time):
-                    downtime += report.resumption_time
-            for stack in shard.stacks.values():
-                recovery = stack.gate.report if stack.gate is not None else None
-                if recovery is None:
-                    continue
-                if recovery.recovered:
-                    # Dark from detection until the microrebooted
-                    # hypervisor resumed its guests.
-                    downtime += recovery.blackout
-                elif not recovery.escalated:
-                    # Pure recover-in-place loss: dark to the end (the
-                    # escalated case is priced by its failover report).
-                    downtime += end - recovery.detected_at
-        result.observed_seconds = (end - start) * spec.vms
-        result.downtime_seconds = downtime
+        # Availability by the fleet rule: dark from detection.
+        result.observed_seconds = (ledger.end - start) * spec.vms
+        result.downtime_seconds = downtime(dark_from_detection(ledger))
         result.nines = observed_availability_nines(
-            max(downtime, 0.0), result.observed_seconds
+            max(result.downtime_seconds, 0.0), result.observed_seconds
         )
         # Integrity accounting from the monitors' event ledgers (the
         # ground truth for injected-vs-caught) plus the merged bus.

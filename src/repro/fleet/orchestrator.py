@@ -30,11 +30,16 @@ regardless of host machine or wall-clock conditions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.fleetplan import FleetConstraints, FleetPlanner, Topology
+from ..cluster.incidents import (
+    Incident,
+    IncidentLedger,
+    Outcome,
+    ReprotectionRecord,
+)
 from ..cluster.planner import PlacementRequest, PlanResult
 from ..hardware.host import Host
 from ..hardware.link import LinkPair
@@ -84,20 +89,6 @@ class Reseeding:
     started_at: float
 
 
-@dataclass
-class ReprotectionRecord:
-    """A completed (or abandoned) re-protection, for the fingerprint."""
-
-    vm_name: str
-    shard_name: str
-    spare_host: str = ""
-    detected_at: float = math.nan
-    ready_at: float = math.nan
-    unprotected_window: float = math.nan
-    failed: bool = False
-    failure_reason: str = ""
-
-
 class FleetOrchestrator:
     """Materializes and runs a protected fleet on the sharded kernel."""
 
@@ -145,13 +136,8 @@ class FleetOrchestrator:
         self.inflight: Dict[str, Reseeding] = {}
         self.reprotections: List[ReprotectionRecord] = []
         self.dropped: Dict[str, str] = {}
-        self.failovers = 0
-        self.failed_failovers = 0
         self.secondary_losses = 0
-        self.recoveries = 0
-        self.failed_recoveries = 0
         self._handled: set = set()
-        self._escalations: set = set()
         self._started = False
 
     # -- construction --------------------------------------------------------
@@ -243,6 +229,18 @@ class FleetOrchestrator:
     def now(self) -> float:
         return self.sharded.now
 
+    def ledger(self) -> IncidentLedger:
+        """Every protected VM's incident as the shards' reports stand."""
+        return IncidentLedger(
+            [
+                Incident.of(vm_name, stack, shard.name)
+                for shard in self.shards.values()
+                for vm_name, stack in shard.stacks.items()
+            ],
+            end=self.now,
+            reprotections=self.reprotections,
+        )
+
     def shard_of(self, vm_name: str) -> PairShard:
         for shard in self.shards.values():
             if vm_name in shard.engines:
@@ -328,85 +326,58 @@ class FleetOrchestrator:
                 bus.gauge("fleet.inflight", float(len(self.inflight)))
 
     def _poll_shards(self) -> None:
-        """Find redundancy losses the shards detected since last boundary."""
+        """Find redundancy losses the shards detected since last boundary.
+
+        Dispatches on each VM's :class:`Outcome` as the shard's
+        reports stand at this boundary.  Outcome counts are the
+        ledger's (:meth:`ledger`); only secondary losses, which no
+        report records, are counted here.
+        """
         for shard_name in self.sharded.shard_names():
             shard = self.shards[shard_name]
             for vm_name in sorted(shard.engines):
                 if vm_name in self._handled:
                     continue
                 engine = shard.engines[vm_name]
-                stack = shard.stacks[vm_name]
-                report = stack.failover.report
-                gate = stack.gate
-                recovery = gate.report if gate is not None else None
-                if recovery is not None and recovery.recovered:
+                incident = Incident.of(vm_name, shard.stacks[vm_name], shard_name)
+                outcome = incident.outcome
+                if outcome is Outcome.RECOVERED:
                     # The microreboot restored the VM in place and the
                     # engine re-armed incrementally: redundancy is back
                     # without touching the spare pool.  Recorded as a
                     # re-protection so the window statistics price both
                     # paths with the same accounting.
-                    self._handled.add(vm_name)
-                    self.recoveries += 1
-                    self.reprotections.append(
-                        ReprotectionRecord(
-                            vm_name=vm_name,
-                            shard_name=shard_name,
-                            spare_host="(in-place)",
-                            detected_at=recovery.detected_at,
-                            ready_at=recovery.resolved_at,
-                            unprotected_window=recovery.unprotected_window,
-                        )
-                    )
+                    self.reprotections.append(incident.reprotection)
                     bus = self.fleet_sim.telemetry
                     if bus.enabled:
                         bus.counter(
                             "fleet.vm.recovered", 1.0,
                             vm=vm_name, shard=shard_name,
                         )
-                    continue
-                if recovery is not None and not recovery.escalated:
+                elif outcome is Outcome.LOST_IN_PLACE:
                     # Pure recover-in-place that did not recover (a
                     # failed microreboot, or nothing to microreboot —
                     # e.g. the whole host lost power): the gate never
                     # propagates, so no failover will ever happen — the
                     # VM is lost by policy.
-                    self._handled.add(vm_name)
-                    if recovery.attempted:
-                        self.failed_recoveries += 1
                     self._drop(
                         vm_name,
                         shard,
                         "in-place recovery failed: "
-                        f"{recovery.failure_reason}",
+                        f"{incident.recovery.failure_reason}",
                     )
-                    continue
-                if (
-                    recovery is not None
-                    and recovery.escalated
-                    and recovery.attempted
-                ):
-                    # Hybrid fallback in flight: count the failed
-                    # attempt once, then let the failover report drive
-                    # the normal re-protection path below.
-                    if vm_name not in self._escalations:
-                        self._escalations.add(vm_name)
-                        self.failed_recoveries += 1
-                if report is not None:
-                    self._handled.add(vm_name)
-                    if report.failed:
-                        self.failed_failovers += 1
-                        self._drop(
-                            vm_name,
-                            shard,
-                            f"failover failed: {report.failure_reason}",
-                        )
-                        continue
-                    self.failovers += 1
+                elif outcome is Outcome.FAILOVER_FAILED:
+                    self._drop(
+                        vm_name,
+                        shard,
+                        f"failover failed: {incident.failover.failure_reason}",
+                    )
+                elif outcome is Outcome.FAILED_OVER:
                     self._enqueue(
                         vm_name,
                         shard,
                         primary_host=engine.secondary.host.name,
-                        detected_at=report.detected_at,
+                        detected_at=incident.failover.detected_at,
                         cause="failover",
                     )
                 elif (
@@ -418,7 +389,6 @@ class FleetOrchestrator:
                 ):
                     # The replica's host died under it: the primary is
                     # fine but the VM runs 1-redundant from here on.
-                    self._handled.add(vm_name)
                     self.secondary_losses += 1
                     engine.halt("secondary host lost")
                     self._enqueue(
@@ -428,6 +398,9 @@ class FleetOrchestrator:
                         detected_at=self.now,
                         cause="secondary-loss",
                     )
+                else:
+                    continue  # no incident yet, or a fallback in flight
+                self._handled.add(vm_name)
 
     def _enqueue(self, vm_name, shard, primary_host, detected_at, cause):
         self.queue.push(

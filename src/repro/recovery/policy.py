@@ -28,8 +28,9 @@ windows are an order of magnitude below failover + re-protection.
 The gate emits one ``recovery`` span per incident (opened at
 detection, ended at resolution) and — when redundancy was restored in
 place — a ``reprotection`` span carrying the measured
-``unprotected_window``, so campaign harvesting prices both policies
-with the same accounting.
+``unprotected_window``, so a trace shows both policies' windows the
+same way.  Campaigns read the outcome from the gate's report through
+:mod:`repro.cluster.incidents`.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from ..cluster.deployment import (
     ProtectedDeployment,
     unprotected_baseline,
 )
+from ..cluster.incidents import Incident, Outcome
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..recovery import MicrorebootConfig, RecoveryPolicy
@@ -282,15 +283,11 @@ class ServingStudy:
             detection_time=detection_time,
             blackout=blackout,
         )
-        # Failover / recovery blackouts measured by the timeline spans.
+        # A failover's blackout: the crash until the replica ran.
         if math.isnan(outcome.blackout) and math.isfinite(crash_time):
-            spans = [
-                span
-                for span in recorder.spans("failover")
-                if not span.attrs.get("failed")
-            ]
-            if spans:
-                outcome.blackout = spans[0].ended_at - crash_time
+            incident = Incident.of(spec.vm_name, deployment.stack)
+            if incident.outcome is Outcome.FAILED_OVER:
+                outcome.blackout = incident.failover.activated_at - crash_time
         return outcome
 
 

@@ -98,6 +98,19 @@ class TestCampaignRun:
         assert "rack-outage" in result.fault_descriptions[0]
 
 
+    def test_a_failover_after_a_secondary_loss_is_counted(self):
+        # The first outage takes vm-0001's secondary, the second its
+        # primary: the control loop has already re-queued the VM, and
+        # the failover that follows fails (its secondary is down too).
+        result = FleetCampaign(config(
+            spec_kwargs=dict(spares=0, seed=0),
+            settle_time=3.0, fault_window=3.0, recovery_time=20.0,
+            faults=2, kinds=(FaultKind.ZONE_OUTAGE,),
+        )).run()
+        assert result.secondary_losses == 3
+        assert (result.failovers, result.failed_failovers) == (3, 1)
+
+
 class TestDeterminism:
     def test_same_seed_same_fingerprint(self):
         cfg = config()

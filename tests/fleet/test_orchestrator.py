@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.incidents import Outcome
 from repro.faults import FaultKind, FaultSpec
 from repro.fleet import FleetFaultInjector, FleetOrchestrator, FleetSpec
 from repro.hardware.units import MIB
@@ -102,7 +103,7 @@ class TestZoneOutageReprotection:
         orchestrator = self.run_outage()
         # z0's Xen host primaries at least one VM; its heartbeat stops
         # and the shard promotes the replica.
-        assert orchestrator.failovers >= 1
+        assert orchestrator.ledger().count(Outcome.FAILED_OVER) >= 1
         assert orchestrator.queue.stats.enqueued >= 1
         completed = [r for r in orchestrator.reprotections if not r.failed]
         assert completed, orchestrator.dropped

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.cluster.incidents import (
+    Outcome,
+    dark_from_detection,
+    unpriced_blackouts,
+)
 from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 from repro.hardware.units import MIB
 from repro.serving import ServingConfig
@@ -108,3 +113,36 @@ class TestFleetSweep:
         )).run()
         assert direct.serving.requests > 0
         assert outcome.metrics["fingerprint"] == direct.fingerprint()
+
+
+class TestDarkIsNotUnprotected:
+    """Only the ledger's dark intervals cost requests."""
+
+    def test_abandoned_reprotection_is_not_a_blackout(self):
+        # With no spare pool, all four VMs the zone outage touches end
+        # in ``dropped`` because their re-protection was abandoned.  Two
+        # are secondary losses whose primaries were never hit; two
+        # failed over and run on promoted replicas.  All four serve.
+        campaign = FleetCampaign(FleetCampaignConfig(
+            spec=FleetSpec(
+                zones=3, racks_per_zone=1, hosts_per_rack=2, spares=0,
+                vms=6, seed=1,
+            ),
+            recovery_time=30.0,
+            serving=ServingConfig(users=600),
+        ))
+        report = campaign.run().serving
+        dropped = campaign.orchestrator.dropped
+        assert len(dropped) == 4
+        assert all(
+            reason.startswith("re-protection abandoned")
+            for reason in dropped.values()
+        )
+        outcomes = [campaign.ledger[vm].outcome for vm in dropped]
+        assert outcomes.count(None) == outcomes.count(Outcome.FAILED_OVER) == 2
+        assert unpriced_blackouts(
+            campaign.ledger, dark_from_detection(campaign.ledger)
+        ) == {}
+        assert report.served + report.lost == report.requests
+        # Dark intervals for the four serving VMs would lose over half.
+        assert report.lost < 0.1 * report.requests

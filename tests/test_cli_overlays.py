@@ -2,7 +2,10 @@
 
 ``repro chaos`` turns the ``--recovery-*``, ``--serving-*`` and
 ``--integrity``/``--scrub-*``/``--promote-*`` flags into the
-microreboot, serving and integrity configs a campaign runs.  These
+microreboot, serving and integrity configs a campaign runs; under
+``--preset fleet`` it also carries ``--kinds``, ``--miss-threshold``
+and ``--recovery-policy``, and refuses the flags the fleet has no
+field for.  These
 tests capture the campaign config before anything runs and pin the
 effective overlay objects, so a change to how flags reach the configs
 cannot silently move a default or drop a flag.
@@ -11,6 +14,7 @@ cannot silently move a default or drop a flag.
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultKind
 from repro.hardware.units import GIB
 from repro.integrity import IntegrityConfig
 from repro.recovery import MicrorebootConfig
@@ -133,3 +137,43 @@ class TestFleetPresetOverlayFlags:
 
     def test_fleet_serving_is_off_by_default(self, captured):
         assert captured("--preset", "fleet").serving is None
+
+    def test_integrity_flags_reach_the_fleet_spec(self, captured):
+        config = captured(
+            "--preset", "fleet", "--integrity",
+            "--scrub-interval", "0.5", "--promote-suspect-replicas",
+        )
+        assert config.spec.integrity == IntegrityConfig(
+            scrub_interval=0.5, refuse_failover=False
+        )
+
+    def test_policy_threshold_and_kinds_reach_the_fleet(self, captured):
+        config = captured(
+            "--preset", "fleet", "--recovery-policy", "hybrid",
+            "--miss-threshold", "5", "--kinds", "hypervisor-crash",
+        )
+        assert config.spec.recovery_policy == "hybrid"
+        assert config.spec.miss_threshold == 5
+        assert config.kinds == (FaultKind.HYPERVISOR_CRASH,)
+
+    def test_fleet_defaults_are_a_zone_outage_under_failover(self, captured):
+        config = captured("--preset", "fleet")
+        assert config.kinds == (FaultKind.ZONE_OUTAGE,)
+        assert config.spec.recovery_policy == "failover"
+        assert config.spec.miss_threshold == 3
+        assert config.spec.integrity is None
+
+    @pytest.mark.parametrize("flags", [
+        ("--detector", "phi"),
+        ("--degraded-miss-threshold", "6"),
+        ("--recovery-deadline", "4"),
+        ("--recovery-success-prob", "0.5"),
+        ("--recovery-rebuild-min", "0.2"),
+    ])
+    def test_flags_the_fleet_cannot_honour_are_refused(
+        self, captured, capsys, flags
+    ):
+        assert main(["chaos", "--preset", "fleet", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --preset fleet does not support")
+        assert err.count("\n") == 1
